@@ -8,8 +8,7 @@
 // regressions (>15% fails).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <string_view>
+#include <cstddef>
 
 #include "bench/common.h"
 #include "bench/perf_counters.h"
@@ -26,21 +25,6 @@ namespace {
 // sim_seconds_per_wall_second rate.
 double sim_span_seconds(const SimConfig& cfg) {
   return to_seconds(cfg.warmup + cfg.measure);
-}
-
-// Ready-queue backend under test. G80211_SCHED_BACKEND=heap|wheel lets an
-// A/B run compare both backends from one binary (benchmark names stay
-// identical so compare_simperf diffs line up); unset means the engine
-// default, which is what the committed baseline records.
-SchedulerBackend bench_backend() {
-  const char* e = std::getenv("G80211_SCHED_BACKEND");
-  if (e != nullptr && std::string_view(e) == "heap") {
-    return SchedulerBackend::kDaryHeap;
-  }
-  if (e != nullptr && std::string_view(e) == "wheel") {
-    return SchedulerBackend::kTimingWheel;
-  }
-  return kDefaultSchedulerBackend;
 }
 
 // Attach the perf_event_open attribution counters. perf_hw_available is
@@ -82,7 +66,6 @@ void BM_SaturatedUdpPairs(benchmark::State& state) {
     cfg.measure = seconds(1);
     cfg.warmup = milliseconds(100);
     cfg.seed = seed++;
-    cfg.scheduler_backend = bench_backend();
     Sim sim(cfg);
     const PairLayout l = pairs_in_range(n_pairs);
     std::vector<Node*> senders, receivers;
@@ -119,7 +102,6 @@ void BM_TcpPair(benchmark::State& state) {
     cfg.measure = seconds(1);
     cfg.warmup = milliseconds(100);
     cfg.seed = seed++;
-    cfg.scheduler_backend = bench_backend();
     Sim sim(cfg);
     const PairLayout l = pairs_in_range(1);
     Node& s = sim.add_node(l.senders[0]);
@@ -160,7 +142,6 @@ void BM_Hotspot(benchmark::State& state) {
     cfg.measure = seconds(1);
     cfg.warmup = milliseconds(100);
     cfg.seed = seed++;
-    cfg.scheduler_backend = bench_backend();
     Sim sim(cfg);
     const SharedApLayout l = shared_ap(n_stations);
     Node& ap = sim.add_node(l.ap);
@@ -189,9 +170,9 @@ void BM_Hotspot(benchmark::State& state) {
 
 // Pure scheduler microbench, no PHY/MAC: the dominant MAC pattern of
 // schedule / cancel / reschedule plus a fired ladder. Measures raw
-// events/sec through the slab + heap with zero steady-state allocation.
+// events/sec through the slab + wheel with zero steady-state allocation.
 void BM_SchedulerChurn(benchmark::State& state) {
-  Scheduler s{bench_backend()};
+  Scheduler s;
   std::uint64_t sink = 0;
   constexpr int kBatch = 64;
   // Counters bracket the whole loop: iterations here are µs-scale, so
@@ -220,7 +201,7 @@ void BM_SchedulerChurn(benchmark::State& state) {
 // Timer restart churn: the defer/backoff/NAV pattern — start, supersede,
 // fire — exercising the cancel-tombstone path and slot reuse.
 void BM_TimerRestart(benchmark::State& state) {
-  Scheduler s{bench_backend()};
+  Scheduler s;
   std::uint64_t fired = 0;
   Timer t(s, [&fired] { ++fired; });
   // Whole-loop counter bracket, as in BM_SchedulerChurn: per-iteration
@@ -263,7 +244,6 @@ void BM_ShardedHotspot(benchmark::State& state) {
     spec.base.measure = seconds(1);
     spec.base.warmup = milliseconds(100);
     spec.base.seed = seed++;
-    spec.base.scheduler_backend = bench_backend();
     for (int b = 0; b < 4; ++b) {
       HotspotBssSpec cell;
       cell.ap = Position{600.0 * b, 0.0};
@@ -315,10 +295,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("g80211_build_type", G80211_BUILD_TYPE);
-  benchmark::AddCustomContext(
-      "g80211_scheduler_backend",
-      bench_backend() == SchedulerBackend::kTimingWheel ? "timing_wheel"
-                                                        : "dary_heap");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -1,7 +1,6 @@
 #include "src/phy/error_model.h"
 
 #include <cmath>
-#include <limits>
 
 #include "src/sim/check.h"
 
@@ -32,97 +31,40 @@ double ErrorModel::ber_for_fer(double target_fer, int len) {
   return 1.0 - std::pow(1.0 - target_fer, 1.0 / len);
 }
 
-void ErrorModel::ensure_dense(int id) {
-  if (in_dense(id) || id < 0 || id >= kMaxDenseId) return;
-  int new_stride = stride_ == 0 ? 8 : stride_;
-  while (new_stride <= id) new_stride *= 2;
-  if (new_stride > kMaxDenseId) new_stride = kMaxDenseId;
-  std::vector<double> ber(
-      static_cast<std::size_t>(new_stride) * static_cast<std::size_t>(new_stride),
-      std::numeric_limits<double>::quiet_NaN());
-  std::vector<RateLimit> rate(ber.size());
-  for (int t = 0; t < stride_; ++t) {
-    for (int r = 0; r < stride_; ++r) {
-      const std::size_t old_i = dense_index(t, r);
-      const std::size_t new_i = static_cast<std::size_t>(t) *
-                                    static_cast<std::size_t>(new_stride) +
-                                static_cast<std::size_t>(r);
-      ber[new_i] = link_ber_[old_i];
-      rate[new_i] = rate_limit_[old_i];
-    }
-  }
-  link_ber_ = std::move(ber);
-  rate_limit_ = std::move(rate);
-  stride_ = new_stride;
-  fer_memo_.assign(link_ber_.size(), FerMemo{});
-}
-
-void ErrorModel::invalidate_memos() {
-  for (FerMemo& m : fer_memo_) m.by_len.clear();
-  default_memo_.by_len.clear();
-}
-
 void ErrorModel::set_default_ber(double ber) {
   default_ber_ = ber;
   if (ber != 0.0) trivial_ = false;
-  invalidate_memos();
 }
 
 void ErrorModel::set_link_ber(int tx, int rx, double ber) {
   if (ber != 0.0) trivial_ = false;
-  ensure_dense(tx);
-  ensure_dense(rx);
-  if (in_dense(tx) && in_dense(rx)) {
-    link_ber_[dense_index(tx, rx)] = ber;
-  } else {
-    overflow_ber_[{tx, rx}] = ber;
-    has_overflow_ = true;
-  }
-  invalidate_memos();
+  links_[{tx, rx}].ber = ber;
 }
 
 void ErrorModel::set_link_rate_limit(int tx, int rx, double max_good_rate_mbps,
                                      double excess_fer) {
-  ensure_dense(tx);
-  ensure_dense(rx);
-  if (in_dense(tx) && in_dense(rx)) {
-    rate_limit_[dense_index(tx, rx)] = RateLimit{max_good_rate_mbps, excess_fer};
-  } else {
-    overflow_rate_[{tx, rx}] = RateLimit{max_good_rate_mbps, excess_fer};
-    has_overflow_ = true;
-  }
-  has_rate_limit_ = true;
+  links_[{tx, rx}].rate = RateLimit{max_good_rate_mbps, excess_fer};
   trivial_ = false;
-  invalidate_memos();
 }
 
-double ErrorModel::cached_fer(int tx, int rx, int len) const {
-  FerMemo* memo = nullptr;
-  if (in_dense(tx) && in_dense(rx)) {
-    memo = &fer_memo_[dense_index(tx, rx)];
-  } else if (!has_overflow_) {
-    // Every link outside the dense block shares the default BER, so one
-    // shared memo is exact.
-    memo = &default_memo_;
+double ErrorModel::cached_fer(double ber, int len) const {
+  for (const FerMemoEntry& e : fer_memo_) {
+    if (e.ber == ber && e.len == len) return e.fer;
   }
-  if (memo != nullptr) {
-    for (const auto& [l, f] : memo->by_len) {
-      if (l == len) return f;
-    }
-  }
-  const double f = fer(ber(tx, rx), len);
-  // NOLINTNEXTLINE(hot-path-alloc): first contact per (link, frame length);
-  // every later frame on the link hits the memo scan above.
-  if (memo != nullptr) memo->by_len.emplace_back(len, f);
+  const double f = fer(ber, len);
+  // NOLINTNEXTLINE(hot-path-alloc): first contact per (BER, frame length);
+  // every later frame with that pair hits the memo scan above.
+  fer_memo_.push_back({ber, len, f});
   return f;
 }
 
 double ErrorModel::frame_error_prob_slow(int tx, int rx, FrameType type,
                                          int packet_bytes,
                                          double rate_mbps) const {
-  const double base = cached_fer(tx, rx, error_len(type, packet_bytes));
+  const Link* link = find(tx, rx);
+  const double base = cached_fer(link_ber(link), error_len(type, packet_bytes));
   if (type != FrameType::kData) return base;
-  const double excess = rate_excess_fer(tx, rx, rate_mbps);
+  const double excess = link_excess_fer(link, rate_mbps);
   // Independent corruption sources compose. Kept as one expression even
   // when excess is zero: 1 - (1 - base) is not bit-identical to base for
   // tiny base, and this exact formula is what every figure was frozen on.

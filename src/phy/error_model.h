@@ -11,14 +11,14 @@
 // Per-link overrides support the paper's asymmetric-loss experiments
 // ("inject random loss to only one flow").
 //
-// Storage is built for the per-reception hot path: link overrides live in
-// dense node-indexed matrices (node ids are small sequential integers), so
-// ber() and rate_excess_fer() are one array read instead of a std::map
-// find, and frame_error_prob() memoises fer(ber, len) per link and frame
-// length, so the std::pow is paid once per (link, length) instead of once
-// per reception. Ids outside the dense block (>= kMaxDenseId, or negative)
-// fall back to an overflow map — correct, just not O(1). All caches are
-// invalidated by the BER/rate-limit setters; there is no staleness window.
+// Storage: the overrides live in one sparse map keyed by the directed link,
+// so node ids are unbounded (negative ones included) and memory grows with
+// the number of overridden links, not with the largest id. One lookup per
+// reception serves the BER, the rate limit and the FER memo.
+// frame_error_prob() memoises fer(ber, len) on the value pair: fer is a
+// pure function, so an entry can never go stale and the setters have
+// nothing to invalidate. The pow is paid once per distinct (BER, frame
+// length), typically one BER and a few lengths.
 //
 // The header-corruption study (Table I) is separate: it uses a true
 // per-bit model over the 802.11 frame layout to show that corrupted frames
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -50,16 +49,7 @@ class ErrorModel {
   void set_default_ber(double ber);
   // Loss on the directed link tx -> rx only.
   void set_link_ber(int tx, int rx, double ber);
-  double ber(int tx, int rx) const {
-    if (in_dense(tx) && in_dense(rx)) {
-      const double v = link_ber_[dense_index(tx, rx)];
-      if (!std::isnan(v)) return v;
-    } else if (has_overflow_) {
-      const auto it = overflow_ber_.find({tx, rx});
-      if (it != overflow_ber_.end()) return it->second;
-    }
-    return default_ber_;
-  }
+  double ber(int tx, int rx) const { return link_ber(find(tx, rx)); }
 
   // Rate-dependent channel quality (auto-rate substrate): DATA frames sent
   // above the link's highest "good" PHY rate are corrupted with
@@ -69,20 +59,7 @@ class ErrorModel {
                            double excess_fer = 0.9);
   // FER contribution of sending at `rate_mbps` on this link (0 if allowed).
   double rate_excess_fer(int tx, int rx, double rate_mbps) const {
-    if (rate_mbps <= 0.0 || !has_rate_limit_) return 0.0;
-    if (in_dense(tx) && in_dense(rx)) {
-      // Unset links hold the +infinity sentinel: no rate exceeds them.
-      const RateLimit& rl = rate_limit_[dense_index(tx, rx)];
-      return rate_mbps > rl.max_good_rate_mbps ? rl.excess_fer : 0.0;
-    }
-    if (has_overflow_) {
-      const auto it = overflow_rate_.find({tx, rx});
-      if (it != overflow_rate_.end()) {
-        return rate_mbps > it->second.max_good_rate_mbps ? it->second.excess_fer
-                                                         : 0.0;
-      }
-    }
-    return 0.0;
+    return link_excess_fer(find(tx, rx), rate_mbps);
   }
 
   // Probability that a frame on link tx->rx with packet payload
@@ -123,54 +100,48 @@ class ErrorModel {
                                               int frame_bytes,
                                               std::int64_t n_frames);
 
-  // Node ids at or above this (or negative) take the overflow-map path.
-  // Sim assigns sequential ids from 0, so in practice everything is dense.
-  static constexpr int kMaxDenseId = 1024;
-
  private:
   struct RateLimit {
     // +infinity = no limit configured (so an explicit limit of 0 — "every
-    // rate is bad" — stays representable, exactly as with the old map).
+    // rate is bad" — stays representable).
     double max_good_rate_mbps = std::numeric_limits<double>::infinity();
     double excess_fer = 0.9;
   };
-  // Per-link memo of fer(ber(link), len): a handful of frame lengths per
-  // link (RTS, CTS/ACK, the flow's DATA sizes), scanned linearly.
-  struct FerMemo {
-    std::vector<std::pair<int, double>> by_len;
+  // Overrides of one directed link. NaN ber = the link uses the default.
+  struct Link {
+    double ber = std::numeric_limits<double>::quiet_NaN();
+    RateLimit rate;
+  };
+  struct FerMemoEntry {
+    double ber;
+    int len;
+    double fer;
   };
 
-  bool in_dense(int id) const {
-    return static_cast<unsigned>(id) < static_cast<unsigned>(stride_);
+  const Link* find(int tx, int rx) const {
+    const auto it = links_.find({tx, rx});
+    return it == links_.end() ? nullptr : &it->second;
   }
-  std::size_t dense_index(int tx, int rx) const {
-    return static_cast<std::size_t>(tx) * static_cast<std::size_t>(stride_) +
-           static_cast<std::size_t>(rx);
+  double link_ber(const Link* link) const {
+    return link != nullptr && !std::isnan(link->ber) ? link->ber : default_ber_;
   }
-  // Grow the dense matrices to cover node id `id` (re-striding preserves
-  // existing entries). No-op for overflow ids.
-  void ensure_dense(int id);
-  // Drop every memoised FER (BER landscape changed).
-  void invalidate_memos();
-  double cached_fer(int tx, int rx, int len) const;
+  static double link_excess_fer(const Link* link, double rate_mbps) {
+    if (link == nullptr || rate_mbps <= 0.0) return 0.0;
+    return rate_mbps > link->rate.max_good_rate_mbps ? link->rate.excess_fer
+                                                     : 0.0;
+  }
+  double cached_fer(double ber, int len) const;
   double frame_error_prob_slow(int tx, int rx, FrameType type,
                                int packet_bytes, double rate_mbps) const;
 
   double default_ber_ = 0.0;
-  int stride_ = 0;  // dense matrices are stride_ x stride_
-  std::vector<double> link_ber_;      // NaN = no override on that link
-  std::vector<RateLimit> rate_limit_;
-  mutable std::vector<FerMemo> fer_memo_;  // per dense link
-  mutable FerMemo default_memo_;  // shared by links outside the dense block
-  bool has_rate_limit_ = false;
-  bool has_overflow_ = false;
   // True while no setter has ever introduced a nonzero BER or any rate
   // limit, i.e. frame_error_prob is identically 0.0. Conservative: once
   // cleared it stays cleared (re-zeroing a BER keeps the slow path, which
   // computes the same 0.0 — correctness never depends on re-arming it).
   bool trivial_ = true;
-  std::map<std::pair<int, int>, double> overflow_ber_;
-  std::map<std::pair<int, int>, RateLimit> overflow_rate_;
+  std::map<std::pair<int, int>, Link> links_;
+  mutable std::vector<FerMemoEntry> fer_memo_;
 };
 
 }  // namespace g80211

@@ -38,9 +38,6 @@ struct SimConfig {
   Time warmup = seconds(1);
   Time measure = seconds(10);
   std::uint64_t seed = 1;
-  // Ready-queue implementation; both produce identical event order (see
-  // scheduler.h). Exposed so benchmarks and equivalence tests can A/B.
-  SchedulerBackend scheduler_backend = kDefaultSchedulerBackend;
 };
 
 class Sim {

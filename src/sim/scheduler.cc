@@ -10,10 +10,10 @@ namespace g80211 {
 // live one, or nullptr when the queue drains. The pointer stays valid
 // until the next queue operation.
 const Scheduler::Entry* Scheduler::peek_live() {
-  while (!queue_empty()) {
-    const Entry& top = queue_top();
+  while (!wheel_.empty()) {
+    const Entry& top = wheel_.top();
     if (pool_.live(top.index, top.gen)) return &top;
-    queue_pop();
+    wheel_.pop();
   }
   return nullptr;
 }
@@ -32,7 +32,7 @@ bool Scheduler::step() {
   const Entry* top = peek_live();
   if (top == nullptr) return false;
   const Entry e = *top;
-  queue_pop();
+  wheel_.pop();
   fire(e);
   return true;
 }
@@ -45,7 +45,7 @@ void Scheduler::run_until(Time horizon) {
     const Entry* top = peek_live();
     if (top == nullptr || top->when > horizon) break;
     const Entry e = *top;
-    queue_pop();
+    wheel_.pop();
     fire(e);
   }
   if (now_ < horizon) now_ = horizon;

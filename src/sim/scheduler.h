@@ -4,12 +4,13 @@
 // insertion order so that a run is a pure function of (scenario, seed).
 // Events can be cancelled through the EventId returned at scheduling time;
 // cancellation is O(1) (a generation bump frees the slot immediately) and
-// stale heap entries are skipped as tombstones when popped.
+// stale queue entries are skipped as tombstones when popped.
 //
 // Hot-path design: callbacks live in an EventPool slab (no shared_ptr, no
 // std::function, no per-event heap allocation in steady state) and the
-// priority queue holds plain {time, seq, generation, index} records. See
-// docs/architecture.md, "Event engine".
+// ready queue, a hierarchical TimingWheel, holds plain
+// {time, seq, generation, index} records. See docs/architecture.md,
+// "Event engine".
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "src/sim/check.h"
-#include "src/sim/dary_heap.h"
 #include "src/sim/event_pool.h"
 #include "src/sim/hot.h"
 #include "src/sim/time.h"
@@ -28,19 +28,6 @@
 namespace g80211 {
 
 class Scheduler;
-
-// Ready-queue implementation behind the scheduler. Both produce the exact
-// same event execution order (the comparator is a strict total order; the
-// golden event-order trace test pins the equivalence) — the choice is pure
-// mechanics. The wheel wins on the saturated-hotspot benchmarks (O(1)
-// push, tombstones skipped in bulk at slot drain), so it is the default;
-// the heap remains selectable for verification and A/B measurement.
-enum class SchedulerBackend {
-  kDaryHeap,
-  kTimingWheel,
-};
-inline constexpr SchedulerBackend kDefaultSchedulerBackend =
-    SchedulerBackend::kTimingWheel;
 
 // Handle to a scheduled event; cheap to copy, safe to outlive the event
 // (but not the scheduler it came from).
@@ -62,10 +49,6 @@ class EventId {
 
 class Scheduler {
  public:
-  explicit Scheduler(SchedulerBackend backend = kDefaultSchedulerBackend)
-      : backend_(backend) {}
-  SchedulerBackend backend() const { return backend_; }
-
   Time now() const { return now_; }
 
   // Schedule `fn` to run at absolute time `at` (must be >= now()).
@@ -78,11 +61,7 @@ class Scheduler {
     const std::uint32_t index = pool_.alloc(std::forward<F>(fn));
     const std::uint64_t gen = pool_.generation(index);
     const Entry e{when, next_seq_++, gen, index};
-    if (backend_ == SchedulerBackend::kDaryHeap) {
-      heap_.push(e);
-    } else {
-      wheel_.push(e);
-    }
+    wheel_.push(e);
     ++live_;
     return EventId(this, index, gen);
   }
@@ -102,12 +81,12 @@ class Scheduler {
   // Number of events executed so far (diagnostics).
   std::uint64_t executed() const { return executed_; }
   // Number of events currently queued (including tombstones).
-  std::size_t queued() const { return queue_size(); }
+  std::size_t queued() const { return wheel_.size(); }
   // Live events currently queued (scheduled, unfired, uncancelled).
   std::size_t pending() const { return live_; }
   // Cancelled tombstones still sitting in the queue; they are discarded
   // lazily when they reach the top, so buildup here measures cancel churn.
-  std::size_t cancelled_pending() const { return queue_size() - live_; }
+  std::size_t cancelled_pending() const { return wheel_.size() - live_; }
   // Event-slab high-water mark: the most events that were ever pending at
   // once. Stays flat under schedule/cancel churn (slots are reused).
   std::size_t pool_slots() const { return pool_.slots(); }
@@ -121,9 +100,9 @@ class Scheduler {
     std::uint64_t gen = 0;
     std::uint32_t index = 0;
   };
-  // Strict total order (seq values are unique), so the heap's pop sequence
-  // is the sorted order of its pushes regardless of internal layout — the
-  // determinism contract DaryHeap relies on.
+  // Strict total order (seq values are unique), so the wheel's pop
+  // sequence is the sorted order of its pushes regardless of internal
+  // layout — the determinism contract TimingWheel relies on.
   struct Earlier {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when < b.when;
@@ -140,37 +119,15 @@ class Scheduler {
     --live_;
   }
 
-  // Backend dispatch for the ready queue. One perfectly-predicted branch
-  // per operation; both containers pop in the identical (when, seq) order.
-  std::size_t queue_size() const {
-    return backend_ == SchedulerBackend::kDaryHeap ? heap_.size()
-                                                   : wheel_.size();
-  }
-  bool queue_empty() const { return queue_size() == 0; }
-  // Non-const: the wheel advances its cursor lazily on top().
-  const Entry& queue_top() {
-    return backend_ == SchedulerBackend::kDaryHeap ? heap_.top()
-                                                   : wheel_.top();
-  }
-  void queue_pop() {
-    if (backend_ == SchedulerBackend::kDaryHeap) {
-      heap_.pop();
-    } else {
-      wheel_.pop();
-    }
-  }
-
   bool step();                // pop+run one live event; false if queue empty
   const Entry* peek_live();   // drop cancelled tops; earliest live or null
   void fire(const Entry& e);  // run a just-popped live entry
 
-  SchedulerBackend backend_ = kDefaultSchedulerBackend;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
   EventPool pool_;
-  DaryHeap<Entry, Earlier> heap_;
   TimingWheel<Entry, Earlier> wheel_;
 };
 

@@ -1,5 +1,4 @@
-// Hierarchical timing wheel — alternative ready-queue backend for the
-// scheduler (selectable against the 4-ary heap, see scheduler.h).
+// Hierarchical timing wheel — the scheduler's ready queue (scheduler.h).
 //
 // Layout: 4 levels of 256 slots over a tick of 2^10 ns (1.024 us). Level k
 // spans 256^(k+1) ticks, so the wheel covers 2^42 ns (~73 simulated
@@ -10,11 +9,11 @@
 // more than a handful of) entries sharing one 1.024 us tick.
 //
 // Determinism: pop order is by the caller's strict total order (time,
-// insertion-seq), identical to the d-ary heap backend. Slots partition time
-// into disjoint tick ranges and are drained strictly in tick order (per-slot
-// occupancy bitmaps make the in-order scan cheap); within a tick the ready
-// heap applies the full comparator. The golden event-order trace test in
-// tests/test_scheduler.cc pins the equivalence on both backends.
+// insertion-seq), identical to a DaryHeap given the same pushes. Slots
+// partition time into disjoint tick ranges and are drained strictly in tick
+// order (per-slot occupancy bitmaps make the in-order scan cheap); within a
+// tick the ready heap applies the full comparator. tests/test_scheduler.cc
+// pins the equivalence with a wheel-vs-heap differential test.
 //
 // Why a wheel can beat a heap here: push/pop on the heap are O(log n) with
 // data-dependent branches; the wheel replaces them with O(1) stores and a

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,9 +38,17 @@
 namespace g80211 {
 namespace {
 
-std::string artifact_stem(const char* name) {
+// ctest runs every test case as its own process, in parallel, so each
+// case writes to files named after itself: two cases sharing a stem would
+// clobber each other's captures mid-read.
+std::string stem_for(const ::testing::TestInfo& info) {
+  return std::string("capture_test_artifacts/") + info.test_suite_name() +
+         "." + info.name();
+}
+
+std::string artifact_stem() {
   std::filesystem::create_directories("capture_test_artifacts");
-  return std::string("capture_test_artifacts/") + name;
+  return stem_for(*::testing::UnitTest::GetInstance()->current_test_info());
 }
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
@@ -122,10 +131,25 @@ NavLive run_nav_scenario(const std::string& stem, std::uint64_t seed,
 
 }  // namespace
 
+TEST(CaptureArtifacts, EveryTestWritesItsOwnStem) {
+  const ::testing::UnitTest& unit = *::testing::UnitTest::GetInstance();
+  std::set<std::string> stems;
+  int tests = 0;
+  for (int i = 0; i < unit.total_test_suite_count(); ++i) {
+    const ::testing::TestSuite& suite = *unit.GetTestSuite(i);
+    for (int j = 0; j < suite.total_test_count(); ++j) {
+      const std::string stem = stem_for(*suite.GetTestInfo(j));
+      EXPECT_TRUE(stems.insert(stem).second) << "shared stem " << stem;
+      ++tests;
+    }
+  }
+  EXPECT_GT(tests, 10);
+}
+
 // --- round trips --------------------------------------------------------------
 
 TEST(CaptureRoundTrip, PcapByteExact) {
-  const std::string stem = artifact_stem("roundtrip");
+  const std::string stem = artifact_stem();
   run_nav_scenario(stem, 21, milliseconds(200), false);
 
   const std::vector<std::uint8_t> original = slurp(stem + ".pcap");
@@ -142,7 +166,7 @@ TEST(CaptureRoundTrip, PcapByteExact) {
 }
 
 TEST(CaptureRoundTrip, JsonlByteExact) {
-  const std::string stem = artifact_stem("roundtrip");
+  const std::string stem = artifact_stem();
   run_nav_scenario(stem, 21, milliseconds(200), false);
 
   const std::string original = slurp_text(stem + ".jsonl");
@@ -172,7 +196,7 @@ TEST(CaptureRoundTrip, JsonlByteExact) {
 // --- strict parsing -----------------------------------------------------------
 
 TEST(CaptureReader, RejectsCorruptFiles) {
-  const std::string stem = artifact_stem("corrupt");
+  const std::string stem = artifact_stem();
   run_nav_scenario(stem, 22, milliseconds(50), false);
 
   const std::vector<std::uint8_t> pcap = slurp(stem + ".pcap");
@@ -216,7 +240,7 @@ TEST(CaptureReader, RejectsCorruptFiles) {
 }
 
 TEST(CaptureReader, SkipsUnknownPcapRecords) {
-  const std::string stem = artifact_stem("unknown");
+  const std::string stem = artifact_stem();
   run_nav_scenario(stem, 23, milliseconds(50), false);
 
   std::vector<std::uint8_t> bytes = slurp(stem + ".pcap");
@@ -236,14 +260,14 @@ TEST(CaptureReader, SkipsUnknownPcapRecords) {
 }
 
 TEST(CaptureReader, DispatchesByContent) {
-  const std::string stem = artifact_stem("dispatch");
+  const std::string stem = artifact_stem();
   run_nav_scenario(stem, 24, milliseconds(50), false);
   EXPECT_FALSE(read_capture(stem + ".pcap").has_params);
   EXPECT_TRUE(read_capture(stem + ".jsonl").has_params);
 }
 
 TEST(Replay, RequiresTheJsonlJournal) {
-  const std::string stem = artifact_stem("dispatch");
+  const std::string stem = artifact_stem();
   run_nav_scenario(stem, 24, milliseconds(50), false);
   const Capture pcap = read_pcap(stem + ".pcap");
   EXPECT_THROW(replay_capture(pcap), std::runtime_error);
@@ -252,7 +276,7 @@ TEST(Replay, RequiresTheJsonlJournal) {
 // --- live vs replay equivalence ----------------------------------------------
 
 TEST(Replay, MatchesLiveNavValidatorVerdicts) {
-  const std::string stem = artifact_stem("equiv_nav");
+  const std::string stem = artifact_stem();
   const NavLive live = run_nav_scenario(stem, 11, seconds(1), true);
   ASSERT_GT(live.validated, 0);
   ASSERT_GT(live.detections, 0) << "scenario must exercise the attack";
@@ -282,7 +306,7 @@ TEST(Replay, MatchesLiveSpoofDetectorVerdicts) {
   sim.add_tcp_flow(gs, gr);
   sim.make_ack_spoofer(gr, 1.0, {nr.id()});
 
-  const std::string stem = artifact_stem("equiv_spoof");
+  const std::string stem = artifact_stem();
   CaptureWriter capture(sim.scheduler(), stem);
   capture.attach(ns.mac());
   SpoofDetector detector(1.0);
@@ -341,7 +365,7 @@ TEST(Replay, MatchesLiveBackoffMonitorVerdicts) {
   sim.add_udp_flow(greedy_s, r2);
   greedy_s.mac().set_backoff_cheat(0.1);
 
-  const std::string stem = artifact_stem("equiv_backoff");
+  const std::string stem = artifact_stem();
   CaptureWriter capture(sim.scheduler(), stem);
   capture.attach(r1.mac());
   BackoffMonitor monitor(sim.scheduler(), sim.params());
@@ -386,7 +410,7 @@ TEST(Replay, MatchesLiveCrossLayerVerdicts) {
   sim.add_tcp_flow(gs, gr);
   sim.make_ack_spoofer(gr, 1.0, {nr.id()});
 
-  const std::string stem = artifact_stem("equiv_xlayer");
+  const std::string stem = artifact_stem();
   CaptureWriter capture(sim.scheduler(), stem);
   capture.attach(ns.mac());
   CrossLayerDetector detector;
@@ -426,7 +450,7 @@ TEST(Replay, MatchesLiveFakeAckVerdict) {
   sim.add_udp_flow(gs, gr, 1.0);
   sim.make_fake_acker(gr, 1.0);
 
-  const std::string stem = artifact_stem("equiv_fakeack");
+  const std::string stem = artifact_stem();
   CaptureWriter capture(sim.scheduler(), stem);
   capture.attach(gs.mac());
   FakeAckDetector::Config dc;
@@ -468,7 +492,7 @@ TEST(Replay, HonestRunRaisesNoVerdicts) {
   (void)gs;
   (void)gr;
 
-  const std::string stem = artifact_stem("honest");
+  const std::string stem = artifact_stem();
   CaptureWriter capture(sim.scheduler(), stem);
   capture.attach(ns.mac());
   sim.run();
@@ -491,7 +515,7 @@ TEST(CaptureGolden, CommittedFixtureIsBitStable) {
   // committed files: any drift in the capture byte format (or in the
   // simulation it records) fails here. With G80211_REGEN_GOLDEN=1 the
   // fixtures are rewritten instead (for intended format changes only).
-  const std::string stem = artifact_stem("golden_regen");
+  const std::string stem = artifact_stem();
   run_nav_scenario(stem, 7, milliseconds(100), false);
 
   const std::string data_dir = G80211_TEST_DATA_DIR;

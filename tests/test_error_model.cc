@@ -140,10 +140,11 @@ TEST(ErrorModel, SetRateLimitAfterUseInvalidatesMemo) {
   EXPECT_EQ(em.frame_error_prob(0, 1, FrameType::kData, 1064, 5.5), before);
 }
 
-// Ids at or above kMaxDenseId take the overflow-map path; overrides and
-// memo invalidation must behave identically there.
+// Large ids (far past any sequential node numbering) must behave exactly
+// like small ones: overrides, the default for unset links, and re-setting
+// a BER after the memo is primed.
 TEST(ErrorModel, OverflowIdsMatchDensePathBehaviour) {
-  const int big = ErrorModel::kMaxDenseId + 976;
+  const int big = 2000;
   ErrorModel em;
   em.set_default_ber(1e-5);
   em.set_link_ber(0, big, 2e-4);
@@ -156,11 +157,36 @@ TEST(ErrorModel, OverflowIdsMatchDensePathBehaviour) {
   EXPECT_EQ(em.frame_error_prob(0, big, FrameType::kData, 1064),
             dense.frame_error_prob(0, 1, FrameType::kData, 1064));
 
-  // Memo invalidation on the overflow path.
+  // Re-setting the BER after use.
   em.set_link_ber(0, big, 8e-4);
   dense.set_link_ber(0, 1, 8e-4);
   EXPECT_EQ(em.frame_error_prob(0, big, FrameType::kData, 1064),
             dense.frame_error_prob(0, 1, FrameType::kData, 1064));
+}
+
+TEST(ErrorModel, NegativeIdsAreOrdinaryLinks) {
+  ErrorModel em;
+  em.set_default_ber(1e-5);
+  em.set_link_ber(-3, 1, 2e-4);
+  em.set_link_rate_limit(-3, 1, 5.5, 0.9);
+  EXPECT_DOUBLE_EQ(em.ber(-3, 1), 2e-4);
+  EXPECT_DOUBLE_EQ(em.ber(1, -3), 1e-5);
+  EXPECT_DOUBLE_EQ(em.ber(-1, 1), 1e-5);
+  EXPECT_EQ(em.rate_excess_fer(-3, 1, 11.0), 0.9);
+  EXPECT_EQ(em.rate_excess_fer(1, -3, 11.0), 0.0);
+
+  ErrorModel ref;
+  ref.set_default_ber(1e-5);
+  ref.set_link_ber(0, 1, 2e-4);
+  ref.set_link_rate_limit(0, 1, 5.5, 0.9);
+  for (const double rate : {0.0, 5.5, 11.0}) {
+    for (FrameType t : {FrameType::kData, FrameType::kAck, FrameType::kRts}) {
+      EXPECT_EQ(em.frame_error_prob(-3, 1, t, 1064, rate),
+                ref.frame_error_prob(0, 1, t, 1064, rate));
+      EXPECT_EQ(em.frame_error_prob(1, -3, t, 1064, rate),
+                ref.frame_error_prob(1, 0, t, 1064, rate));
+    }
+  }
 }
 
 TEST(ErrorModel, AddrIntactGivenCorruptBehaves) {

@@ -5,9 +5,9 @@
 // the resulting metric vector. The committed hash pins the simulator's
 // output bit-for-bit: any change to event ordering, RNG draw sequence, or
 // floating-point arithmetic anywhere in the stack — including "pure"
-// performance work like the PHY link-state caches or the scheduler's heap
-// — flips the hash and fails loudly here instead of silently shifting the
-// paper's figures.
+// performance work like the PHY link-state caches or the scheduler's ready
+// queue — flips the hash and fails loudly here instead of silently shifting
+// the paper's figures.
 //
 // The config is fully explicit (warmup/measure set here, not via
 // base_config), so the result is independent of the G80211_QUICK
@@ -41,8 +41,7 @@ std::uint64_t fnv1a_bits(const std::vector<double>& values) {
   return h;
 }
 
-std::vector<double> fig1_metric_vector(SchedulerBackend backend,
-                                       bool record_capture) {
+std::vector<double> fig1_metric_vector() {
   std::vector<double> metrics;
   for (const Time inflation :
        {microseconds(0), microseconds(600), milliseconds(2)}) {
@@ -53,8 +52,7 @@ std::vector<double> fig1_metric_vector(SchedulerBackend backend,
     spec.cfg.rts_cts = true;
     spec.cfg.warmup = milliseconds(500);
     spec.cfg.measure = seconds(2);
-    spec.cfg.scheduler_backend = backend;
-    if (inflation == 0 && record_capture) {
+    if (inflation == 0) {
       spec.capture_stem = "capture_test_artifacts/golden_fig1";
     }
     spec.customize = [inflation](Sim& sim, std::vector<Node*>&,
@@ -100,18 +98,7 @@ TEST(GoldenFig1, MetricVectorBitIdentical) {
   // the workflow uploads capture_test_artifacts/ when this test (or the
   // capture suite) fails, so a red run ships its evidence.
   std::filesystem::create_directories("capture_test_artifacts");
-  expect_golden(
-      fig1_metric_vector(kDefaultSchedulerBackend, /*record_capture=*/true));
-}
-
-TEST(GoldenFig1, MetricVectorBitIdenticalOnBothSchedulerBackends) {
-  // The ready-queue backend is pure mechanics: heap or wheel, the engine
-  // must dispatch the identical event sequence and therefore reproduce the
-  // identical metric bits.
-  expect_golden(fig1_metric_vector(SchedulerBackend::kDaryHeap,
-                                   /*record_capture=*/false));
-  expect_golden(fig1_metric_vector(SchedulerBackend::kTimingWheel,
-                                   /*record_capture=*/false));
+  expect_golden(fig1_metric_vector());
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // must hold across whole parameter grids, not just single points.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "src/analysis/nav_model.h"
 #include "src/scenario/scenario.h"
@@ -13,13 +16,17 @@ namespace {
 
 // --- Conservation: no configuration may create goodput from nothing -------
 
+// gtest names an unnamed parameter by its raw bytes, so implicit padding
+// would put leftover stack bytes into the test name: pad explicitly with zeros.
 struct ConservationParam {
   Standard standard;
   bool rts_cts;
+  std::uint8_t zero_pad[3];
   Time inflation;
   double ber;
   std::uint64_t seed;
 };
+static_assert(sizeof(ConservationParam) == 32, "no implicit padding");
 
 class GoodputConservation : public ::testing::TestWithParam<ConservationParam> {};
 
@@ -53,14 +60,17 @@ TEST_P(GoodputConservation, TotalBelowPhyRateAndNonNegative) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, GoodputConservation,
     ::testing::Values(
-        ConservationParam{Standard::B80211, true, 0, 0.0, 1},
-        ConservationParam{Standard::B80211, true, microseconds(300), 0.0, 2},
-        ConservationParam{Standard::B80211, true, milliseconds(31), 0.0, 3},
-        ConservationParam{Standard::B80211, false, microseconds(600), 0.0, 4},
-        ConservationParam{Standard::B80211, true, milliseconds(5), 2e-4, 5},
-        ConservationParam{Standard::A80211, true, 0, 0.0, 6},
-        ConservationParam{Standard::A80211, true, milliseconds(2), 0.0, 7},
-        ConservationParam{Standard::A80211, false, milliseconds(10), 1e-4, 8}));
+        ConservationParam{Standard::B80211, true, {}, 0, 0.0, 1},
+        ConservationParam{Standard::B80211, true, {},
+                          microseconds(300), 0.0, 2},
+        ConservationParam{Standard::B80211, true, {}, milliseconds(31), 0.0, 3},
+        ConservationParam{Standard::B80211, false, {},
+                          microseconds(600), 0.0, 4},
+        ConservationParam{Standard::B80211, true, {}, milliseconds(5), 2e-4, 5},
+        ConservationParam{Standard::A80211, true, {}, 0, 0.0, 6},
+        ConservationParam{Standard::A80211, true, {}, milliseconds(2), 0.0, 7},
+        ConservationParam{Standard::A80211, false, {},
+                          milliseconds(10), 1e-4, 8}));
 
 // --- Greedy percentage: more cheating never helps the victim ---------------
 
@@ -146,6 +156,10 @@ struct DeterminismParam {
   int mode;  // 0 nav, 1 spoof, 2 fake
 };
 
+// gtest would otherwise print the raw bytes of the std::string, a heap
+// address, into the test name, so the name would change on every listing.
+void PrintTo(const DeterminismParam& p, std::ostream* os) { *os << p.name; }
+
 class Determinism : public ::testing::TestWithParam<DeterminismParam> {};
 
 TEST_P(Determinism, SameSeedSameResult) {
@@ -208,10 +222,13 @@ INSTANTIATE_TEST_SUITE_P(Modes, Determinism,
 
 // --- Error model: FER is a proper probability over the whole grid ----------
 
+// Explicit zero padding, as for ConservationParam.
 struct FerParam {
   FrameType type;
+  std::uint8_t zero_pad[3];
   int packet_bytes;
 };
+static_assert(std::has_unique_object_representations_v<FerParam>);
 
 class FerGrid : public ::testing::TestWithParam<FerParam> {};
 
@@ -228,13 +245,14 @@ TEST_P(FerGrid, MonotoneProbabilityInBer) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, FerGrid,
-                         ::testing::Values(FerParam{FrameType::kAck, 0},
-                                           FerParam{FrameType::kCts, 0},
-                                           FerParam{FrameType::kRts, 0},
-                                           FerParam{FrameType::kData, 40},
-                                           FerParam{FrameType::kData, 1064},
-                                           FerParam{FrameType::kData, 1540}));
+INSTANTIATE_TEST_SUITE_P(
+    Grid, FerGrid,
+    ::testing::Values(FerParam{FrameType::kAck, {}, 0},
+                      FerParam{FrameType::kCts, {}, 0},
+                      FerParam{FrameType::kRts, {}, 0},
+                      FerParam{FrameType::kData, {}, 40},
+                      FerParam{FrameType::kData, {}, 1064},
+                      FerParam{FrameType::kData, {}, 1540}));
 
 // --- Spoofing never hurts the attacker across the loss sweep ---------------
 

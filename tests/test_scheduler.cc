@@ -2,32 +2,21 @@
 // determinism, timers, the pooled event slab and its generation handles.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/sim/dary_heap.h"
 #include "src/sim/inplace_function.h"
 #include "src/sim/scheduler.h"
+#include "src/sim/timing_wheel.h"
 
 namespace g80211 {
 namespace {
 
-// Every scheduler-facing test runs against both ready-queue backends: the
-// 4-ary heap and the hierarchical timing wheel must be observationally
-// identical (same dispatch order, same stats) — see scheduler.h.
-class SchedulerSuite : public ::testing::TestWithParam<SchedulerBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, SchedulerSuite,
-    ::testing::Values(SchedulerBackend::kDaryHeap,
-                      SchedulerBackend::kTimingWheel),
-    [](const ::testing::TestParamInfo<SchedulerBackend>& info) {
-      return info.param == SchedulerBackend::kDaryHeap ? "DaryHeap"
-                                                       : "TimingWheel";
-    });
-
-TEST_P(SchedulerSuite, RunsEventsInTimeOrder) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, RunsEventsInTimeOrder) {
+  Scheduler s;
   std::vector<int> order;
   s.at(microseconds(30), [&] { order.push_back(3); });
   s.at(microseconds(10), [&] { order.push_back(1); });
@@ -36,8 +25,8 @@ TEST_P(SchedulerSuite, RunsEventsInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(SchedulerSuite, TiesBreakInInsertionOrder) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, TiesBreakInInsertionOrder) {
+  Scheduler s;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     s.at(microseconds(5), [&order, i] { order.push_back(i); });
@@ -46,8 +35,8 @@ TEST_P(SchedulerSuite, TiesBreakInInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(SchedulerSuite, NowAdvancesToEventTime) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, NowAdvancesToEventTime) {
+  Scheduler s;
   Time seen = -1;
   s.at(milliseconds(7), [&] { seen = s.now(); });
   s.run();
@@ -55,8 +44,8 @@ TEST_P(SchedulerSuite, NowAdvancesToEventTime) {
   EXPECT_EQ(s.now(), milliseconds(7));
 }
 
-TEST_P(SchedulerSuite, RunUntilStopsAtHorizonAndAdvancesClock) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, RunUntilStopsAtHorizonAndAdvancesClock) {
+  Scheduler s;
   int fired = 0;
   s.at(seconds(1), [&] { ++fired; });
   s.at(seconds(3), [&] { ++fired; });
@@ -67,8 +56,8 @@ TEST_P(SchedulerSuite, RunUntilStopsAtHorizonAndAdvancesClock) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST_P(SchedulerSuite, EventsScheduledDuringRunExecute) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, EventsScheduledDuringRunExecute) {
+  Scheduler s;
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 5) s.after(microseconds(1), recurse);
@@ -78,8 +67,8 @@ TEST_P(SchedulerSuite, EventsScheduledDuringRunExecute) {
   EXPECT_EQ(depth, 5);
 }
 
-TEST_P(SchedulerSuite, CancelPreventsExecution) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, CancelPreventsExecution) {
+  Scheduler s;
   bool ran = false;
   EventId id = s.at(microseconds(10), [&] { ran = true; });
   EXPECT_TRUE(id.pending());
@@ -89,11 +78,11 @@ TEST_P(SchedulerSuite, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST_P(SchedulerSuite, CancelAtSameTimestampBeforeDispatchWorks) {
+TEST(Scheduler, CancelAtSameTimestampBeforeDispatchWorks) {
   // An event at time T cancelling another event also at time T (scheduled
   // later in insertion order) must win — the MAC relies on this for
   // same-instant busy-edge vs timer races.
-  Scheduler s{GetParam()};
+  Scheduler s;
   bool second_ran = false;
   EventId second;
   s.at(microseconds(5), [&] { second.cancel(); });
@@ -102,15 +91,15 @@ TEST_P(SchedulerSuite, CancelAtSameTimestampBeforeDispatchWorks) {
   EXPECT_FALSE(second_ran);
 }
 
-TEST_P(SchedulerSuite, PendingReflectsFiredState) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, PendingReflectsFiredState) {
+  Scheduler s;
   EventId id = s.at(microseconds(1), [] {});
   s.run();
   EXPECT_FALSE(id.pending());
 }
 
-TEST_P(SchedulerSuite, ExecutedCountsOnlyLiveEvents) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, ExecutedCountsOnlyLiveEvents) {
+  Scheduler s;
   EventId a = s.at(microseconds(1), [] {});
   s.at(microseconds(2), [] {});
   a.cancel();
@@ -118,8 +107,8 @@ TEST_P(SchedulerSuite, ExecutedCountsOnlyLiveEvents) {
   EXPECT_EQ(s.executed(), 1u);
 }
 
-TEST_P(SchedulerSuite, CancelAfterFireIsANoOp) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, CancelAfterFireIsANoOp) {
+  Scheduler s;
   int runs = 0;
   EventId id = s.at(microseconds(1), [&] { ++runs; });
   s.run();
@@ -138,8 +127,8 @@ TEST_P(SchedulerSuite, CancelAfterFireIsANoOp) {
   EXPECT_TRUE(ran);
 }
 
-TEST_P(SchedulerSuite, PendingAcrossGenerationReuseOfPooledSlot) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, PendingAcrossGenerationReuseOfPooledSlot) {
+  Scheduler s;
   EventId a = s.at(microseconds(1), [] {});
   a.cancel();  // frees the slot immediately
   EXPECT_FALSE(a.pending());
@@ -156,8 +145,8 @@ TEST_P(SchedulerSuite, PendingAcrossGenerationReuseOfPooledSlot) {
   EXPECT_EQ(s.executed(), 1u);
 }
 
-TEST_P(SchedulerSuite, CancelledPendingCountsTombstones) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, CancelledPendingCountsTombstones) {
+  Scheduler s;
   EventId a = s.at(microseconds(10), [] {});
   s.at(microseconds(20), [] {});
   EXPECT_EQ(s.cancelled_pending(), 0u);
@@ -171,8 +160,8 @@ TEST_P(SchedulerSuite, CancelledPendingCountsTombstones) {
   EXPECT_EQ(s.queued(), 0u);
 }
 
-TEST_P(SchedulerSuite, MassCancelStressDoesNotGrowPool) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, MassCancelStressDoesNotGrowPool) {
+  Scheduler s;
   constexpr int kRounds = 50;
   constexpr std::size_t kBatch = 256;
   for (int round = 0; round < kRounds; ++round) {
@@ -195,12 +184,12 @@ TEST_P(SchedulerSuite, MassCancelStressDoesNotGrowPool) {
   EXPECT_LE(s.pool_slots(), kBatch);
 }
 
-TEST_P(SchedulerSuite, GoldenEventOrderTrace) {
+TEST(Scheduler, GoldenEventOrderTrace) {
   // Golden trace locking in dispatch order across engine refactors:
   // same-time ties fire in insertion order, cancelled events (including a
   // same-instant cancel) drop out, and an event scheduled *during* the
   // current instant runs after everything already queued at that instant.
-  Scheduler s{GetParam()};
+  Scheduler s;
   std::vector<std::string> trace;
   s.at(microseconds(20), [&] { trace.push_back("c1"); });
   s.at(microseconds(10), [&] {
@@ -219,12 +208,11 @@ TEST_P(SchedulerSuite, GoldenEventOrderTrace) {
                                              "timer", "c1", "c2"}));
 }
 
-TEST_P(SchedulerSuite, CrossLevelTimesFireInOrder) {
+TEST(Scheduler, CrossLevelTimesFireInOrder) {
   // Deadlines spanning every wheel level — sub-tick, level 0, the higher
   // windows, and far past the 2^42 ns span (overflow) — plus events
-  // scheduled mid-run. The heap backend runs the same schedule, so this
-  // also pins backend equivalence at coarse horizons.
-  Scheduler s{GetParam()};
+  // scheduled mid-run.
+  Scheduler s;
   std::vector<int> order;
   const Time times[] = {
       nanoseconds(1),   nanoseconds(900),  microseconds(2),
@@ -246,10 +234,10 @@ TEST_P(SchedulerSuite, CrossLevelTimesFireInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 100, 5, 6, 101, 7, 8, 9}));
 }
 
-TEST_P(SchedulerSuite, IdleGapThenLateEventFires) {
+TEST(Scheduler, IdleGapThenLateEventFires) {
   // A lone far-future event forces the wheel to skip a long empty stretch
   // (cursor jumps, not tick-by-tick crawling).
-  Scheduler s{GetParam()};
+  Scheduler s;
   Time fired_at = -1;
   s.at(seconds(7200), [&] { fired_at = s.now(); });
   s.run();
@@ -257,13 +245,13 @@ TEST_P(SchedulerSuite, IdleGapThenLateEventFires) {
   EXPECT_EQ(s.now(), seconds(7200));
 }
 
-TEST_P(SchedulerSuite, CoarseWindowBoundaryDoesNotLeapfrogParkedEntry) {
+TEST(Scheduler, CoarseWindowBoundaryDoesNotLeapfrogParkedEntry) {
   // Regression: B lands one full level-0 window ahead of the cursor (tick
   // delta exactly 256), parking it in a level-1 slot. A fires on the last
   // tick of the window and schedules a nested event one tick past B. The
   // cursor's step off the window edge must cascade the level-1 slot it
   // enters, or the nested tick-257 entry leapfrogs B (tick 256).
-  Scheduler s{GetParam()};
+  Scheduler s;
   std::vector<int> order;
   s.at(nanoseconds(262000), [&] {  // tick 255
     order.push_back(0);
@@ -274,51 +262,69 @@ TEST_P(SchedulerSuite, CoarseWindowBoundaryDoesNotLeapfrogParkedEntry) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(SchedulerEquivalence, BackendsDispatchIdenticalOrder) {
-  // Differential test: a pseudo-random schedule (bursty times from ns to
-  // hours, nested re-scheduling, interleaved cancels) must dispatch in the
-  // exact same order on both backends.
-  auto run_backend = [](SchedulerBackend backend) {
-    Scheduler s(backend);
-    std::vector<std::pair<int, Time>> fired;
-    std::uint64_t state = 0x2545F4914F6CDD1DULL;
-    auto next = [&state] {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      return state;
-    };
-    std::vector<EventId> cancellable;
-    for (int i = 0; i < 4000; ++i) {
-      // Mix scales so every wheel level and the overflow heap see traffic.
-      const std::uint64_t r = next();
-      Time t = 0;
-      switch (r % 4) {
-        case 0: t = nanoseconds(static_cast<Time>(r % 2000)); break;
-        case 1: t = microseconds(static_cast<Time>(r % 5000)); break;
-        case 2: t = milliseconds(static_cast<Time>(r % 90000)); break;
-        default: t = seconds(static_cast<Time>(r % 9000)); break;
-      }
-      const int id = i;
-      EventId e = s.at(t, [&s, &fired, id, t] {
-        fired.push_back({id, t});
-        if (id % 7 == 0) {
-          s.after(microseconds(static_cast<Time>(id) + 1),
-                  [&fired, id] { fired.push_back({-id, 0}); });
-        }
-      });
-      if (r % 5 == 0) cancellable.push_back(e);
-    }
-    for (std::size_t i = 0; i < cancellable.size(); i += 2) {
-      cancellable[i].cancel();
-    }
-    s.run();
-    return fired;
+TEST(ReadyQueue, TimingWheelPopsInDaryHeapOrder) {
+  // Differential test of the scheduler's ready queue against the 4-ary
+  // heap as reference: a pseudo-random schedule with bursty times from ns
+  // to hours (every wheel level and the overflow heap see traffic), plus
+  // pushes between pops at and after the popped time, as nested scheduling
+  // does, must pop in the identical order from both containers.
+  struct Item {
+    Time when = 0;
+    std::uint64_t seq = 0;
   };
-  const auto heap = run_backend(SchedulerBackend::kDaryHeap);
-  const auto wheel = run_backend(SchedulerBackend::kTimingWheel);
-  ASSERT_EQ(heap.size(), wheel.size());
-  EXPECT_EQ(heap, wheel);
+  struct Before {
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.when != b.when) return a.when < b.when;
+      return a.seq < b.seq;
+    }
+  };
+  TimingWheel<Item, Before> wheel;
+  DaryHeap<Item, Before> heap;
+  auto push = [&](const Item& x) {
+    wheel.push(x);
+    heap.push(x);
+  };
+  std::uint64_t state = 0x2545F4914F6CDD1DULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t r = next();
+    Time t = 0;
+    switch (r % 4) {
+      case 0: t = nanoseconds(static_cast<Time>(r % 2000)); break;
+      case 1: t = microseconds(static_cast<Time>(r % 5000)); break;
+      case 2: t = milliseconds(static_cast<Time>(r % 90000)); break;
+      default: t = seconds(static_cast<Time>(r % 9000)); break;
+    }
+    push({t, seq++});
+  }
+  std::size_t popped = 0;
+  while (!heap.empty()) {
+    ASSERT_EQ(wheel.size(), heap.size());
+    const Item expected = heap.top();
+    const Item got = wheel.top();
+    ASSERT_EQ(got.seq, expected.seq) << "pop " << popped;
+    ASSERT_EQ(got.when, expected.when) << "pop " << popped;
+    heap.pop();
+    wheel.pop();
+    ++popped;
+    if (expected.seq % 7 == 0) {
+      // Zero, sub-tick-to-two-tick, or far delays: the short ones land in
+      // ticks the cursor is about to drain, next to queued entries.
+      const Time spread = static_cast<Time>(expected.seq % 2048);
+      const Time delay = expected.seq % 3 == 0   ? 0
+                         : expected.seq % 3 == 1 ? nanoseconds(spread)
+                                                 : microseconds(spread + 1);
+      push({expected.when + delay, seq++});
+    }
+  }
+  EXPECT_TRUE(wheel.empty());
+  EXPECT_GT(popped, 4000u);
 }
 
 TEST(InplaceFunction, MoveTransfersTheCallable) {
@@ -349,8 +355,8 @@ TEST(InplaceFunction, DestroysCaptureExactlyOnce) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST_P(SchedulerSuite, TimerStartCancelRestart) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, TimerStartCancelRestart) {
+  Scheduler s;
   int fired = 0;
   Timer t(s, [&] { ++fired; });
   t.start(microseconds(10));
@@ -363,8 +369,8 @@ TEST_P(SchedulerSuite, TimerStartCancelRestart) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST_P(SchedulerSuite, TimerRestartSupersedesPreviousDeadline) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, TimerRestartSupersedesPreviousDeadline) {
+  Scheduler s;
   std::vector<Time> fire_times;
   Timer t(s, [&] { fire_times.push_back(s.now()); });
   t.start(microseconds(10));
@@ -374,8 +380,8 @@ TEST_P(SchedulerSuite, TimerRestartSupersedesPreviousDeadline) {
   EXPECT_EQ(fire_times[0], microseconds(50));
 }
 
-TEST_P(SchedulerSuite, TimerDestructionCancelsPendingEvent) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, TimerDestructionCancelsPendingEvent) {
+  Scheduler s;
   int fired = 0;
   {
     Timer t(s, [&] { ++fired; });
@@ -386,8 +392,8 @@ TEST_P(SchedulerSuite, TimerDestructionCancelsPendingEvent) {
   EXPECT_EQ(fired, 0) << "a destroyed timer's event must not fire";
 }
 
-TEST_P(SchedulerSuite, TimerStartAtAbsoluteTime) {
-  Scheduler s{GetParam()};
+TEST(Scheduler, TimerStartAtAbsoluteTime) {
+  Scheduler s;
   Time fired_at = -1;
   Timer t(s, [&] { fired_at = s.now(); });
   s.at(microseconds(5), [&] { t.start_at(microseconds(42)); });

@@ -5,6 +5,9 @@
 // of the T run's — any per-window or per-sample accumulation would grow
 // the long run by ~10x instead.
 //
+// The same allocator pins the error model's memory bound: per-link loss
+// overrides cost memory per overridden link, never per node id.
+//
 // This file is its own test binary (every tests/*.cc is), so it can
 // replace the global allocator: operator new prepends a small header
 // recording the block size and maintains live/peak counters.
@@ -17,6 +20,7 @@
 #include <new>
 #include <string>
 
+#include "src/phy/error_model.h"
 #include "src/scenario/spec/world_builder.h"
 #include "src/scenario/spec/world_spec.h"
 
@@ -126,6 +130,25 @@ TEST(SpecMemory, PeakIsIndependentOfSimulatedDuration) {
   // constant-factor slack for allocator noise, nothing near a 10x trend.
   EXPECT_LE(long_run, short_run + short_run / 8 + (64 << 10))
       << "short " << short_run << " B, long " << long_run << " B";
+}
+
+TEST(ErrorModelMemory, LinkOverridesAtLargeIdsStaySmall) {
+  const std::int64_t base = g_live.load();
+  g_peak.store(base);
+  double sum = 0.0;
+  {
+    ErrorModel em;
+    em.set_default_ber(1e-5);
+    em.set_link_ber(0, 1000, 2e-4);
+    em.set_link_rate_limit(100000, 0, 5.5);
+    for (FrameType t : {FrameType::kData, FrameType::kAck, FrameType::kRts}) {
+      sum += em.frame_error_prob(0, 1000, t, 1064);
+      sum += em.frame_error_prob(100000, 0, t, 1064, 11.0);
+    }
+  }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_LT(g_peak.load() - base, std::int64_t{64} << 10)
+      << "two link overrides must not allocate per node id";
 }
 
 }  // namespace
