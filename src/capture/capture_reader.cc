@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "src/capture/format_detail.h"
 
@@ -24,6 +25,10 @@ std::vector<std::uint8_t> slurp_bytes(const std::string& path) {
   }
   std::fclose(f);
   return bytes;
+}
+
+std::string_view as_text(const std::vector<std::uint8_t>& bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 }  // namespace
@@ -74,44 +79,21 @@ Capture parse_pcap(const std::vector<std::uint8_t>& bytes) {
 
 // --- jsonl -------------------------------------------------------------------
 
-Capture parse_jsonl(const std::string& text) {
+Capture parse_jsonl(std::string_view text) {
+  capture_detail::JsonlJournal journal;
   Capture cap;
-  cap.has_params = true;
-  bool saw_header = false;
-  bool saw_footer = false;
-  Time last_event = 0;
-
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (saw_footer) fail("JSONL: content after footer");
-
-    if (!saw_header) {
-      capture_detail::parse_jsonl_header(line, cap);
-      saw_header = true;
-      continue;
-    }
-
-    CapturedFrame f;
-    Time end_time = 0;
-    if (capture_detail::parse_jsonl_record(line, f, end_time) ==
-        capture_detail::JsonlLine::kFooter) {
-      cap.end_time = end_time;
-      saw_footer = true;
-      continue;
-    }
-    // Records are journalled in MAC event order (tx at start, rx at end);
-    // a regression means the file was corrupted or hand-reordered.
-    if (f.event_time() < last_event) fail("JSONL: records out of order");
-    last_event = f.event_time();
-    cap.frames.push_back(f);
+  const std::size_t used =
+      capture_detail::feed_jsonl_lines(text, journal, cap.frames);
+  CapturedFrame f;
+  if (used < text.size() && journal.feed(text.substr(used), f)) {
+    cap.frames.push_back(f);  // a last line without its newline
   }
-  if (!saw_header) fail("JSONL: empty capture file");
-  if (!saw_footer) fail("JSONL: truncated capture (missing footer)");
+  if (!journal.header_seen) fail("JSONL: empty capture file");
+  if (!journal.footer_seen) fail("JSONL: truncated capture (missing footer)");
+  cap.owner = journal.owner;
+  cap.params = journal.params;
+  cap.has_params = true;
+  cap.end_time = journal.end_time;
   return cap;
 }
 
@@ -120,9 +102,7 @@ Capture parse_jsonl(const std::string& text) {
 Capture read_pcap(const std::string& path) { return parse_pcap(slurp_bytes(path)); }
 
 Capture read_jsonl(const std::string& path) {
-  const std::vector<std::uint8_t> bytes = slurp_bytes(path);
-  return parse_jsonl(
-      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+  return parse_jsonl(as_text(slurp_bytes(path)));
 }
 
 Capture read_capture(const std::string& path) {
@@ -136,8 +116,7 @@ Capture read_capture(const std::string& path) {
     if (magic == kPcapMagicNs) return parse_pcap(bytes);
   }
   if (!bytes.empty() && bytes[0] == '{') {
-    return parse_jsonl(
-        std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+    return parse_jsonl(as_text(bytes));
   }
   fail("unrecognised capture file " + path);
 }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/capture/capture.h"
@@ -20,7 +21,7 @@ namespace g80211 {
 // Parse a pcap byte stream / JSONL text (in-memory; the file readers and
 // the round-trip tests share these).
 Capture parse_pcap(const std::vector<std::uint8_t>& bytes);
-Capture parse_jsonl(const std::string& text);
+Capture parse_jsonl(std::string_view text);
 
 // Read and parse a capture file. read_capture() dispatches on content: the
 // pcap magic selects the pcap parser, a leading '{' the JSONL parser.

@@ -43,7 +43,6 @@ std::size_t CaptureStreamReader::poll(std::vector<CapturedFrame>& out) {
     if (buf_.empty()) return 0;
     if (buf_[0] == '{') {
       format_ = Format::kJsonl;
-      has_params_ = true;
     } else {
       if (buf_.size() < 4) return 0;  // could still be a pcap magic prefix
       const std::uint32_t magic = static_cast<std::uint32_t>(buf_[0]) |
@@ -59,9 +58,9 @@ std::size_t CaptureStreamReader::poll(std::vector<CapturedFrame>& out) {
 
 std::size_t CaptureStreamReader::drain_pcap(std::vector<CapturedFrame>& out) {
   ByteCursor c{&buf_};
-  if (!header_ready_) {
+  if (!pcap_header_) {
     if (!capture_detail::parse_pcap_file_header(c)) return 0;
-    header_ready_ = true;
+    pcap_header_ = true;
   }
 
   std::size_t emitted = 0;
@@ -87,45 +86,16 @@ std::size_t CaptureStreamReader::drain_pcap(std::vector<CapturedFrame>& out) {
 }
 
 std::size_t CaptureStreamReader::drain_jsonl(std::vector<CapturedFrame>& out) {
-  std::size_t emitted = 0;
-  std::size_t consumed = 0;
-  for (;;) {
-    // A line is parseable only once its newline has been written; the
-    // producer writes whole lines, but the filesystem shows us prefixes.
-    std::size_t nl = consumed;
-    while (nl < buf_.size() && buf_[nl] != '\n') ++nl;
-    if (nl == buf_.size()) break;
-    const std::string line(reinterpret_cast<const char*>(buf_.data()) + consumed,
-                           nl - consumed);
-    consumed = nl + 1;
-    if (line.empty()) continue;
-    if (finished_) fail("JSONL: content after footer");
-
-    if (!header_ready_) {
-      Capture header;
-      capture_detail::parse_jsonl_header(line, header);
-      owner_ = header.owner;
-      params_ = header.params;
-      header_ready_ = true;
-      continue;
-    }
-
-    CapturedFrame f;
-    Time horizon = 0;
-    if (capture_detail::parse_jsonl_record(line, f, horizon) ==
-        capture_detail::JsonlLine::kFooter) {
-      end_time_ = horizon;
-      finished_ = true;
-      continue;
-    }
-    if (f.event_time() < last_event_) fail("JSONL: records out of order");
-    last_event_ = f.event_time();
-    if (f.end > end_time_ && !finished_) end_time_ = f.end;
-    out.push_back(f);
-    ++emitted;
+  // A line is parseable only once its newline has been written; the
+  // producer writes whole lines, but the filesystem shows us prefixes.
+  const std::size_t first = out.size();
+  const std::string_view text(reinterpret_cast<const char*>(buf_.data()),
+                              buf_.size());
+  compact(capture_detail::feed_jsonl_lines(text, journal_, out));
+  for (std::size_t i = first; i < out.size(); ++i) {
+    if (out[i].end > end_time_) end_time_ = out[i].end;
   }
-  compact(consumed);
-  return emitted;
+  return out.size() - first;
 }
 
 }  // namespace g80211

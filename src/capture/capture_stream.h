@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/capture/capture.h"
+#include "src/capture/format_detail.h"
 
 namespace g80211 {
 
@@ -47,16 +48,18 @@ class CaptureStreamReader {
   bool pcap_detected() const { return format_ == Format::kPcap; }
 
   // File-level metadata, valid once header_ready().
-  bool header_ready() const { return header_ready_; }
-  bool has_params() const { return has_params_; }       // JSONL only
-  const WifiParams& params() const { return params_; }
-  int owner() const { return owner_; }                  // kNoAddr for pcap
+  bool header_ready() const { return pcap_header_ || journal_.header_seen; }
+  bool has_params() const { return format_ == Format::kJsonl; }
+  const WifiParams& params() const { return journal_.params; }
+  int owner() const { return journal_.owner; }  // kNoAddr for pcap
 
   // JSONL footer seen: the capture is complete and end_time() is the
   // recorded horizon. pcap never finishes from the reader's viewpoint;
   // end_time() then tracks the latest frame end seen.
-  bool finished() const { return finished_; }
-  Time end_time() const { return end_time_; }
+  bool finished() const { return journal_.footer_seen; }
+  Time end_time() const {
+    return journal_.footer_seen ? journal_.end_time : end_time_;
+  }
 
   // Skip-and-count statistics for unrecognised pcap records; the offset is
   // the first skipped record's absolute byte position in the file.
@@ -84,13 +87,9 @@ class CaptureStreamReader {
   std::int64_t buf_offset_ = 0;     // absolute file offset of buf_[0]
 
   Format format_ = Format::kUndetected;
-  bool header_ready_ = false;
-  bool has_params_ = false;
-  WifiParams params_;
-  int owner_ = kNoAddr;
-  bool finished_ = false;
-  Time end_time_ = 0;
-  Time last_event_ = 0;  // journal-order enforcement, as the one-shot reader
+  bool pcap_header_ = false;              // pcap file header parsed
+  capture_detail::JsonlJournal journal_;  // JSONL header, footer, order
+  Time end_time_ = 0;                     // latest frame end seen
   std::int64_t skipped_unknown_ = 0;
   std::int64_t first_skipped_offset_ = -1;
 };

@@ -1,10 +1,14 @@
 #include "src/capture/format_detail.h"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 namespace g80211 {
 namespace capture_detail {
@@ -59,44 +63,139 @@ int parse_addr(ByteCursor& c) {
 
 // --- minimal strict JSON (flat objects of numbers and plain strings) ---------
 
-struct JsonField {
-  std::string raw;  // decoded string, or number token text
-  bool is_string = false;
+// Every key a journal line may carry, in the order JsonlWriter writes them:
+// the header's, a frame record's, then the footer's. The scanner tries the
+// key after the previous match first, so a writer-ordered line costs one
+// comparison per key.
+constexpr std::string_view kKeys[] = {
+    kJsonlHeaderKey, "owner", "standard", "slot", "sifs", "difs", "plcp",
+    "data_rate_mbps", "basic_rate_mbps", "cw_min", "cw_max",
+    "short_retry_limit", "long_retry_limit", "rts_bytes", "cts_bytes",
+    "ack_bytes", "data_mac_overhead_bytes",
+    "t", "s", "e", "d", "ta", "ra", "tt", "sq", "fg", "mf", "r", "c", "cl",
+    "tx", "rssi", "len", "rate", "fl", "ps", "pu", "sn", "dn", "cr", "pr",
+    kJsonlFooterKey};
+constexpr int kNumKeys = static_cast<int>(std::size(kKeys));
+static_assert(kNumKeys <= 64, "the seen-key mask is one 64-bit word");
+
+// A known key, resolved to its table slot at compile time: a key name
+// missing from kKeys does not build.
+struct Key {
+  consteval Key(const char* name) : slot(0) {
+    while (kKeys[slot] != name) ++slot;  // past the end: not a constant
+  }
+  std::string_view name() const { return kKeys[slot]; }
+  int slot;
 };
 
-using JsonObject = std::map<std::string, JsonField>;
-
-void skip_ws(const std::string& s, std::size_t& i) {
+void skip_ws(std::string_view s, std::size_t& i) {
   while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
 }
 
-std::string parse_json_string(const std::string& s, std::size_t& i) {
+bool is_number_char(char c) {
+  return (c >= '0' && c <= '9') ||
+         std::string_view("-+.eEnaif").find(c) != std::string_view::npos;
+}
+
+// Scans the string literal at s[i] and returns its body between the
+// quotes, escapes still encoded.
+std::string_view scan_string(std::string_view s, std::size_t& i) {
   if (i >= s.size() || s[i] != '"') fail("JSONL: expected string");
-  ++i;
-  std::string out;
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\') {
-      ++i;
-      if (i >= s.size()) fail("JSONL: unterminated escape");
-      switch (s[i]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: fail("JSONL: unsupported escape");
-      }
-      ++i;
-    } else {
-      out += s[i++];
+  const std::size_t start = ++i;
+  for (;;) {
+    while (i < s.size() && s[i] != '"' && s[i] != '\\') ++i;
+    if (i >= s.size()) fail("JSONL: unterminated string");
+    if (s[i] == '"') break;
+    if (++i >= s.size()) fail("JSONL: unterminated escape");
+    if (std::string_view("\"\\nt").find(s[i]) == std::string_view::npos) {
+      fail("JSONL: unsupported escape");
     }
+    ++i;
   }
-  if (i >= s.size()) fail("JSONL: unterminated string");
+  const std::string_view body = s.substr(start, i - start);
   ++i;  // closing quote
+  return body;
+}
+
+// The decoded text of a string body scan_string() accepted (a number token
+// decodes to itself).
+std::string decode(std::string_view body) {
+  std::string out;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    char c = body[i];
+    if (c == '\\') {
+      c = body[++i];
+      if (c == 'n') c = '\n';
+      if (c == 't') c = '\t';
+    }
+    out += c;
+  }
   return out;
 }
 
-JsonObject parse_json_object(const std::string& line) {
-  JsonObject obj;
+// std::from_chars over the whole token, after strtol's optional leading
+// '+' (which from_chars does not take): invalid_argument unless every
+// character is used.
+template <class T>
+std::errc to_number(std::string_view t, T& v) {
+  if (t.size() > 1 && t[0] == '+' && t[1] != '-') t.remove_prefix(1);
+  const char* end = t.data() + t.size();
+  const auto [ptr, ec] = std::from_chars(t.data(), end, v);
+  return ptr == end ? ec : std::errc::invalid_argument;
+}
+
+// One parsed journal line: a view into the line of each known key's value
+// (a string's body or a number's token) and a bitmask of the keys present.
+class JsonRecord {
+ public:
+  explicit JsonRecord(std::string_view line);
+
+  bool has(Key k) const { return (seen_ >> k.slot) & 1; }
+  std::string_view text(Key k) const { return value_of(k).text; }
+  std::int64_t i64(Key k) const { return number<std::int64_t>(k); }
+  int i32(Key k) const { return number<int>(k); }
+  std::uint64_t u64(Key k) const { return number<std::uint64_t>(k); }
+  double dbl(Key k) const { return number<double>(k); }
+
+ private:
+  struct Value {
+    std::string_view text;
+    bool is_string;
+  };
+
+  const Value& value_of(Key k) const {
+    if (!has(k)) fail("JSONL: missing key \"" + std::string(k.name()) + "\"");
+    return values_[k.slot];
+  }
+  template <class T>
+  T number(Key k) const {
+    const Value& v = value_of(k);
+    const auto failure = [&](const char* what) {
+      fail("JSONL: key \"" + std::string(k.name()) + "\" " + what);
+    };
+    const char* invalid =
+        std::is_integral_v<T> ? "not an integer" : "not a number";
+    if (v.is_string) failure("not a number");
+    T out = 0;
+    std::errc ec = to_number(v.text, out);
+    // A negative integer in an unsigned key is an integer out of range.
+    std::int64_t negative = 0;
+    if (std::is_unsigned_v<T> && ec == std::errc::invalid_argument &&
+        v.text[0] == '-' &&
+        to_number(v.text, negative) != std::errc::invalid_argument) {
+      ec = std::errc::result_out_of_range;
+    }
+    if (ec == std::errc::result_out_of_range) failure("out of range");
+    if (ec != std::errc{}) failure(invalid);
+    return out;
+  }
+
+  Value values_[kNumKeys];
+  std::uint64_t seen_ = 0;
+  std::vector<std::string> unknown_;  // decoded; allocates only if present
+};
+
+JsonRecord::JsonRecord(std::string_view line) {
   std::size_t i = 0;
   skip_ws(line, i);
   if (i >= line.size() || line[i] != '{') fail("JSONL: expected '{'");
@@ -105,32 +204,47 @@ JsonObject parse_json_object(const std::string& line) {
   if (i < line.size() && line[i] == '}') {
     ++i;
   } else {
+    int next = 0;  // table slot after the previous match
     for (;;) {
       skip_ws(line, i);
-      const std::string key = parse_json_string(line, i);
+      const std::string_view key = scan_string(line, i);
       skip_ws(line, i);
       if (i >= line.size() || line[i] != ':') fail("JSONL: expected ':'");
       ++i;
       skip_ws(line, i);
-      JsonField field;
+      Value v{{}, false};
       if (i < line.size() && line[i] == '"') {
-        field.raw = parse_json_string(line, i);
-        field.is_string = true;
+        v.text = scan_string(line, i);
+        v.is_string = true;
       } else {
         const std::size_t start = i;
-        while (i < line.size() &&
-               (std::isdigit(static_cast<unsigned char>(line[i])) ||
-                line[i] == '-' || line[i] == '+' || line[i] == '.' ||
-                line[i] == 'e' || line[i] == 'E' || line[i] == 'n' ||
-                line[i] == 'a' || line[i] == 'i' || line[i] == 'f')) {
-          ++i;
-        }
+        while (i < line.size() && is_number_char(line[i])) ++i;
         if (i == start) fail("JSONL: expected value");
-        field.raw = line.substr(start, i - start);
+        v.text = line.substr(start, i - start);
       }
-      if (!obj.emplace(key, std::move(field)).second) {
-        fail("JSONL: duplicate key \"" + key + "\"");
+
+      // An escaped key never matches: no known key needs an escape.
+      int slot = -1;
+      for (int n = 0; n < kNumKeys && slot < 0; ++n) {
+        if (kKeys[(next + n) % kNumKeys] == key) slot = (next + n) % kNumKeys;
       }
+      if (slot >= 0 && (seen_ >> slot) & 1) {
+        fail("JSONL: duplicate key \"" + std::string(key) + "\"");
+      }
+      if (slot >= 0) {
+        seen_ |= std::uint64_t{1} << slot;
+        values_[slot] = v;
+        next = slot + 1;
+      } else {
+        // Unknown keys are ignored, but compared decoded for repeats.
+        std::string name = decode(key);
+        if (std::find(unknown_.begin(), unknown_.end(), name) !=
+            unknown_.end()) {
+          fail("JSONL: duplicate key \"" + name + "\"");
+        }
+        unknown_.push_back(std::move(name));
+      }
+
       skip_ws(line, i);
       if (i >= line.size()) fail("JSONL: unterminated object");
       if (line[i] == ',') {
@@ -146,58 +260,45 @@ JsonObject parse_json_object(const std::string& line) {
   }
   skip_ws(line, i);
   if (i != line.size()) fail("JSONL: trailing content after object");
-  return obj;
 }
 
-const JsonField& json_get(const JsonObject& obj, const char* key) {
-  const auto it = obj.find(key);
-  if (it == obj.end()) fail(std::string("JSONL: missing key \"") + key + "\"");
-  return it->second;
-}
-
-std::int64_t json_i64(const JsonObject& obj, const char* key) {
-  const JsonField& f = json_get(obj, key);
-  if (f.is_string) fail(std::string("JSONL: key \"") + key + "\" not a number");
-  char* endp = nullptr;
-  const long long v = std::strtoll(f.raw.c_str(), &endp, 10);
-  if (endp == f.raw.c_str() || *endp != '\0') {
-    fail(std::string("JSONL: key \"") + key + "\" not an integer");
-  }
-  return v;
-}
-
-std::uint64_t json_u64(const JsonObject& obj, const char* key) {
-  const JsonField& f = json_get(obj, key);
-  if (f.is_string) fail(std::string("JSONL: key \"") + key + "\" not a number");
-  char* endp = nullptr;
-  const unsigned long long v = std::strtoull(f.raw.c_str(), &endp, 10);
-  if (endp == f.raw.c_str() || *endp != '\0') {
-    fail(std::string("JSONL: key \"") + key + "\" not an integer");
-  }
-  return v;
-}
-
-double json_dbl(const JsonObject& obj, const char* key) {
-  const JsonField& f = json_get(obj, key);
-  if (f.is_string) fail(std::string("JSONL: key \"") + key + "\" not a number");
-  char* endp = nullptr;
-  const double v = std::strtod(f.raw.c_str(), &endp);
-  if (endp == f.raw.c_str() || *endp != '\0') {
-    fail(std::string("JSONL: key \"") + key + "\" not a number");
-  }
-  return v;
-}
-
-int json_int(const JsonObject& obj, const char* key) {
-  return static_cast<int>(json_i64(obj, key));
-}
-
-FrameType frame_type_from_name(const std::string& name) {
+FrameType frame_type_from_name(std::string_view name) {
   if (name == "RTS") return FrameType::kRts;
   if (name == "CTS") return FrameType::kCts;
   if (name == "DATA") return FrameType::kData;
   if (name == "ACK") return FrameType::kAck;
-  fail("JSONL: unknown frame type \"" + name + "\"");
+  fail("JSONL: unknown frame type \"" + decode(name) + "\"");
+}
+
+// Header line: validates the format marker/version and fills the
+// journal's owner and params.
+void parse_jsonl_header(std::string_view line, JsonlJournal& j) {
+  const JsonRecord rec(line);
+  if (!rec.has(kJsonlHeaderKey)) {
+    fail("JSONL: not a g80211 capture (missing header line)");
+  }
+  if (rec.i64(kJsonlHeaderKey) != kJsonlFormatVersion) {
+    fail("JSONL: unsupported capture format version");
+  }
+  j.owner = rec.i32("owner");
+  WifiParams& p = j.params;
+  const int standard = rec.i32("standard");
+  if (standard < 0 || standard > 2) fail("JSONL: bad standard");
+  p.standard = static_cast<Standard>(standard);
+  p.slot = rec.i64("slot");
+  p.sifs = rec.i64("sifs");
+  p.difs = rec.i64("difs");
+  p.plcp = rec.i64("plcp");
+  p.data_rate_mbps = rec.dbl("data_rate_mbps");
+  p.basic_rate_mbps = rec.dbl("basic_rate_mbps");
+  p.cw_min = rec.i32("cw_min");
+  p.cw_max = rec.i32("cw_max");
+  p.short_retry_limit = rec.i32("short_retry_limit");
+  p.long_retry_limit = rec.i32("long_retry_limit");
+  p.rts_bytes = rec.i32("rts_bytes");
+  p.cts_bytes = rec.i32("cts_bytes");
+  p.ack_bytes = rec.i32("ack_bytes");
+  p.data_mac_overhead_bytes = rec.i32("data_mac_overhead_bytes");
 }
 
 }  // namespace
@@ -304,75 +405,80 @@ bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
 
 // --- jsonl -------------------------------------------------------------------
 
-void parse_jsonl_header(const std::string& line, Capture& cap) {
-  const JsonObject obj = parse_json_object(line);
-  if (obj.find(kJsonlHeaderKey) == obj.end()) {
-    fail("JSONL: not a g80211 capture (missing header line)");
-  }
-  if (json_i64(obj, kJsonlHeaderKey) != kJsonlFormatVersion) {
-    fail("JSONL: unsupported capture format version");
-  }
-  cap.owner = json_int(obj, "owner");
-  WifiParams& p = cap.params;
-  const int standard = json_int(obj, "standard");
-  if (standard < 0 || standard > 2) fail("JSONL: bad standard");
-  p.standard = static_cast<Standard>(standard);
-  p.slot = json_i64(obj, "slot");
-  p.sifs = json_i64(obj, "sifs");
-  p.difs = json_i64(obj, "difs");
-  p.plcp = json_i64(obj, "plcp");
-  p.data_rate_mbps = json_dbl(obj, "data_rate_mbps");
-  p.basic_rate_mbps = json_dbl(obj, "basic_rate_mbps");
-  p.cw_min = json_int(obj, "cw_min");
-  p.cw_max = json_int(obj, "cw_max");
-  p.short_retry_limit = json_int(obj, "short_retry_limit");
-  p.long_retry_limit = json_int(obj, "long_retry_limit");
-  p.rts_bytes = json_int(obj, "rts_bytes");
-  p.cts_bytes = json_int(obj, "cts_bytes");
-  p.ack_bytes = json_int(obj, "ack_bytes");
-  p.data_mac_overhead_bytes = json_int(obj, "data_mac_overhead_bytes");
-}
-
-JsonlLine parse_jsonl_record(const std::string& line, CapturedFrame& f,
+JsonlLine parse_jsonl_record(std::string_view line, CapturedFrame& f,
                              Time& end_time) {
-  const JsonObject obj = parse_json_object(line);
-  if (obj.find(kJsonlFooterKey) != obj.end()) {
-    end_time = json_i64(obj, kJsonlFooterKey);
+  const JsonRecord rec(line);
+  if (rec.has(kJsonlFooterKey)) {
+    end_time = rec.i64(kJsonlFooterKey);
     return JsonlLine::kFooter;
   }
 
   f = CapturedFrame{};
-  f.type = frame_type_from_name(json_get(obj, "t").raw);
-  f.start = json_i64(obj, "s");
-  f.end = json_i64(obj, "e");
-  f.duration = json_i64(obj, "d");
-  f.ta = json_int(obj, "ta");
-  f.ra = json_int(obj, "ra");
-  f.true_tx = json_int(obj, "tt");
-  f.seq = json_int(obj, "sq");
-  f.frag = json_int(obj, "fg");
-  f.more_frags = json_i64(obj, "mf") != 0;
-  f.retry = json_i64(obj, "r") != 0;
-  f.corrupted = json_i64(obj, "c") != 0;
-  f.collided = json_i64(obj, "cl") != 0;
-  f.tx = json_i64(obj, "tx") != 0;
-  f.rssi_dbm = json_dbl(obj, "rssi");
-  f.bytes = json_int(obj, "len");
-  f.rate_mbps = json_dbl(obj, "rate");
+  f.type = frame_type_from_name(rec.text("t"));
+  f.start = rec.i64("s");
+  f.end = rec.i64("e");
+  f.duration = rec.i64("d");
+  f.ta = rec.i32("ta");
+  f.ra = rec.i32("ra");
+  f.true_tx = rec.i32("tt");
+  f.seq = rec.i32("sq");
+  f.frag = rec.i32("fg");
+  f.more_frags = rec.i64("mf") != 0;
+  f.retry = rec.i64("r") != 0;
+  f.corrupted = rec.i64("c") != 0;
+  f.collided = rec.i64("cl") != 0;
+  f.tx = rec.i64("tx") != 0;
+  f.rssi_dbm = rec.dbl("rssi");
+  f.bytes = rec.i32("len");
+  f.rate_mbps = rec.dbl("rate");
   if (f.type == FrameType::kData) {
-    f.flow_id = json_int(obj, "fl");
-    f.pkt_seq = json_i64(obj, "ps");
-    f.pkt_uid = json_u64(obj, "pu");
-    f.src_node = json_int(obj, "sn");
-    f.dst_node = json_int(obj, "dn");
-    f.pkt_created = json_i64(obj, "cr");
-    const int probe = json_int(obj, "pr");
+    f.flow_id = rec.i32("fl");
+    f.pkt_seq = rec.i64("ps");
+    f.pkt_uid = rec.u64("pu");
+    f.src_node = rec.i32("sn");
+    f.dst_node = rec.i32("dn");
+    f.pkt_created = rec.i64("cr");
+    const int probe = rec.i32("pr");
     if (probe < 0 || probe > 2) fail("JSONL: bad probe marker");
     f.probe = probe != 0;
     f.probe_reply = probe == 2;
   }
   if (f.end < f.start) fail("JSONL: frame ends before it starts");
   return JsonlLine::kFrame;
+}
+
+bool JsonlJournal::feed(std::string_view line, CapturedFrame& f) {
+  if (line.empty()) return false;
+  if (footer_seen) fail("JSONL: content after footer");
+  if (!header_seen) {
+    parse_jsonl_header(line, *this);
+    header_seen = true;
+    return false;
+  }
+  if (parse_jsonl_record(line, f, end_time) == JsonlLine::kFooter) {
+    footer_seen = true;
+    return false;
+  }
+  // Records are journalled in MAC event order (tx at start, rx at end);
+  // a regression means the file was corrupted or hand-reordered.
+  if (f.event_time() < last_event) fail("JSONL: records out of order");
+  last_event = f.event_time();
+  return true;
+}
+
+std::size_t feed_jsonl_lines(std::string_view text, JsonlJournal& journal,
+                             std::vector<CapturedFrame>& out) {
+  std::size_t pos = 0;
+  CapturedFrame f;
+  while (pos < text.size()) {
+    const void* nl = std::memchr(text.data() + pos, '\n', text.size() - pos);
+    if (nl == nullptr) break;
+    const std::size_t end = static_cast<std::size_t>(
+        static_cast<const char*>(nl) - text.data());
+    if (journal.feed(text.substr(pos, end - pos), f)) out.push_back(f);
+    pos = end + 1;
+  }
+  return pos;
 }
 
 }  // namespace capture_detail

@@ -7,16 +7,26 @@
 // byte-exact round-trip guarantee and the monitor's tail mode cannot
 // drift apart.
 //
-// The incremental contract: header/record readers return false when the
-// buffered bytes end before the record does ("wait for more input"), and
-// throw std::runtime_error only for bytes that can never become valid
-// (bad magic, bad radiotap version, foreign MAC address, malformed JSON).
-// A one-shot parser turns a trailing false into a "truncated" error; a
-// tail reader turns it into a poll-again.
+// The incremental contract: pcap header/record readers return false when
+// the buffered bytes end before the record does ("wait for more input"),
+// and throw std::runtime_error only for bytes that can never become valid
+// (bad magic, bad radiotap version, foreign MAC address). A one-shot
+// parser turns a trailing false into a "truncated" error; a tail reader
+// turns it into a poll-again. JSONL is line-framed instead: both readers
+// hand each complete line to one JsonlJournal, which throws on a line
+// that is not valid journal JSON.
+//
+// JSONL lines are parsed in place. Keys and values are std::string_view
+// slices of the caller's line, looked up in a fixed table of the journal's
+// keys and converted with std::from_chars; no view outlives the call, and
+// a well-formed record allocates nothing. Only the rare paths copy: error
+// messages, and unknown keys (collected so a repeated one is still
+// rejected).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/capture/capture.h"
@@ -66,16 +76,34 @@ bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
 
 // --- jsonl -------------------------------------------------------------------
 
-// Header line: validates the format marker/version and fills
-// cap.owner/cap.params. Throws when the line is not a capture header.
-void parse_jsonl_header(const std::string& line, Capture& cap);
-
 enum class JsonlLine { kFrame, kFooter };
 
 // One post-header journal line: a frame record (fills `f`) or the footer
-// (fills `end_time`).
-JsonlLine parse_jsonl_record(const std::string& line, CapturedFrame& f,
+// (fills `end_time`). Throws on anything else.
+JsonlLine parse_jsonl_record(std::string_view line, CapturedFrame& f,
                              Time& end_time);
+
+// Line-level state of one journal: the first non-blank line is the header,
+// frame records follow in MAC event order, and only blank lines may follow
+// the footer.
+struct JsonlJournal {
+  bool header_seen = false;
+  bool footer_seen = false;
+  int owner = kNoAddr;  // from the header
+  WifiParams params;    // from the header
+  Time end_time = 0;    // from the footer
+  Time last_event = 0;
+
+  // Feeds one line (without its '\n'); true when it was a frame record,
+  // now in `f`.
+  bool feed(std::string_view line, CapturedFrame& f);
+};
+
+// Feeds every '\n'-terminated line of `text` to `journal`, appending its
+// frames to `out`. Returns the bytes consumed: everything up to and
+// including the last newline. A trailing partial line is left unread.
+std::size_t feed_jsonl_lines(std::string_view text, JsonlJournal& journal,
+                             std::vector<CapturedFrame>& out);
 
 }  // namespace capture_detail
 }  // namespace g80211

@@ -20,8 +20,8 @@ MonitorDriver::MonitorDriver(MonitorOptions opts,
 
 void MonitorDriver::pump(Stream& s) {
   s.batch.clear();
-  std::vector<CapturedFrame> polled;
-  s.reader.poll(polled);
+  s.polled.clear();
+  s.reader.poll(s.polled);
   // Reject pcap on the magic bytes, before a full file header exists:
   // a tailed pcap would otherwise never produce a monitor record (and
   // never finish), so follow mode would poll it silently forever.
@@ -36,7 +36,7 @@ void MonitorDriver::pump(Stream& s) {
     s.monitor = std::make_unique<StreamMonitor>(
         s.reader.params(), s.reader.owner(), opts_.config);
   }
-  for (const CapturedFrame& f : polled) s.batch.push(f);
+  for (const CapturedFrame& f : s.polled) s.batch.push(f);
   if (s.monitor != nullptr) s.monitor->process(s.batch);
   s.consumed_last_pass = s.batch.size();
 }

@@ -101,6 +101,7 @@ class MonitorDriver {
     explicit Stream(const std::string& path) : reader(path) {}
     CaptureStreamReader reader;
     std::unique_ptr<StreamMonitor> monitor;  // created once the header is in
+    std::vector<CapturedFrame> polled;  // this pass's records, reused
     FrameBatch batch;
     std::size_t consumed_last_pass = 0;
   };

@@ -195,6 +195,10 @@ class TimingWheel {
   void advance() {
     G80211_DCHECK(size_ > 0 && "top()/pop() of an empty wheel");
     while (ready_.empty()) {
+      // Each turn that does not return must move the cursor: a turn that
+      // neither fills ready_ nor moves it would repeat forever, which means
+      // some entry sits behind the cursor where no scan finds it.
+      const std::uint64_t turn_from = next_tick_;
       // Drain the next occupied level-0 slot of the current window.
       const std::size_t idx0 = next_tick_ & kSlotMask;
       if (const int s = bm_[0].next(idx0); s >= 0) {
@@ -216,6 +220,8 @@ class TimingWheel {
         // Whole wheel empty: jump straight to the earliest overflow entry.
         G80211_DCHECK(!overflow_.empty());
         jump_to(tick_of(overflow_.top().when));
+        G80211_DCHECK((next_tick_ > turn_from || !ready_.empty()) &&
+                      "timing wheel cursor made no progress");
         continue;
       }
       // Level-0 window exhausted: climb. At each level k, entries still
@@ -245,6 +251,8 @@ class TimingWheel {
         jump_to(coarse << shift);
         break;
       }
+      G80211_DCHECK((next_tick_ > turn_from || !ready_.empty()) &&
+                    "timing wheel cursor made no progress");
     }
   }
 

@@ -12,14 +12,17 @@
 // say so in the commit message).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/capture/capture_reader.h"
@@ -271,6 +274,216 @@ TEST(Replay, RequiresTheJsonlJournal) {
   run_nav_scenario(stem, 24, milliseconds(50), false);
   const Capture pcap = read_pcap(stem + ".pcap");
   EXPECT_THROW(replay_capture(pcap), std::runtime_error);
+}
+
+// --- JSONL grammar --------------------------------------------------------------
+//
+// What the journal reader accepts and rejects, line by line, with the
+// meaning of each "JSONL: ..." message. Each case edits one record of an
+// otherwise valid journal.
+
+namespace {
+
+constexpr const char* kRtsRecord =
+    R"({"t":"RTS","s":90000,"e":442000,"d":1624182,"ta":0,"ra":2,"tt":0,)"
+    R"("sq":0,"fg":0,"mf":0,"r":0,"c":0,"cl":0,"tx":1,"rssi":0,"len":20,)"
+    R"("rate":1})";
+
+constexpr const char* kDataRecord =
+    R"({"t":"DATA","s":766000,"e":1752182,"d":314000,"ta":0,"ra":2,"tt":0,)"
+    R"("sq":1,"fg":0,"mf":0,"r":0,"c":0,"cl":0,"tx":1,"rssi":0,"len":1092,)"
+    R"("rate":11,"fl":1,"ps":0,"pu":1,"sn":0,"dn":2,"cr":0,"pr":0})";
+
+// `record` with its first `from` replaced by `to`.
+std::string edit(std::string record, const std::string& from,
+                 const std::string& to) {
+  const std::size_t at = record.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) record.replace(at, from.size(), to);
+  return record;
+}
+
+std::string journal_with(const std::string& record) {
+  return JsonlWriter::header_line(0, WifiParams{}) + "\n" + record + "\n" +
+         JsonlWriter::footer_line(seconds(1)) + "\n";
+}
+
+// The one frame of a journal holding `record`.
+CapturedFrame parse_record(const std::string& record) {
+  const Capture cap = parse_jsonl(journal_with(record));
+  EXPECT_EQ(cap.frames.size(), 1u);
+  return cap.frames.empty() ? CapturedFrame{} : cap.frames.front();
+}
+
+// The reader's error for `text`, or "" when it parses.
+std::string jsonl_error(const std::string& text) {
+  try {
+    parse_jsonl(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string record_error(const std::string& record) {
+  return jsonl_error(journal_with(record));
+}
+
+}  // namespace
+
+TEST(JsonlGrammar, UneditedRecordsParse) {
+  EXPECT_EQ(parse_record(kRtsRecord).type, FrameType::kRts);
+  const CapturedFrame data = parse_record(kDataRecord);
+  EXPECT_EQ(data.type, FrameType::kData);
+  EXPECT_EQ(data.bytes, 1092);
+  EXPECT_EQ(data.pkt_uid, 1u);
+}
+
+TEST(JsonlGrammar, LeadingPlusIsAccepted) {
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"s\":90000", "\"s\":+90000")).start,
+            90000);
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"rssi\":0", "\"rssi\":+1.5")).rssi_dbm,
+            1.5);
+  EXPECT_NE(record_error(edit(kRtsRecord, "\"s\":90000", "\"s\":+-90000")), "");
+}
+
+TEST(JsonlGrammar, IntegerFieldsRejectExponents) {
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"s\":90000", "\"s\":1e5")),
+            "capture: JSONL: key \"s\" not an integer");
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"len\":20", "\"len\":2.0")),
+            "capture: JSONL: key \"len\" not an integer");
+}
+
+TEST(JsonlGrammar, DoubleFieldsAcceptStrtodSpellings) {
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"rssi\":0", "\"rssi\":.5")).rssi_dbm,
+            0.5);
+  EXPECT_TRUE(std::isnan(
+      parse_record(edit(kRtsRecord, "\"rssi\":0", "\"rssi\":nan")).rssi_dbm));
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"rssi\":0", "\"rssi\":-inf")).rssi_dbm,
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"rate\":1", "\"rate\":5.5e0")).rate_mbps,
+            5.5);
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"rssi\":0", "\"rssi\":1e")),
+            "capture: JSONL: key \"rssi\" not a number");
+}
+
+TEST(JsonlGrammar, UnknownKeysAreIgnoredButNotRepeated) {
+  const std::string extra = edit(kRtsRecord, "\"s\":", "\"zz\":\"x\",\"s\":");
+  EXPECT_EQ(parse_record(extra).start, 90000);
+  EXPECT_EQ(record_error(edit(extra, "\"s\":", "\"zz\":1,\"s\":")),
+            "capture: JSONL: duplicate key \"zz\"");
+  // Keys that belong to another line kind are known, and equally unique.
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"s\":", "\"owner\":1,\"s\":")).start,
+            90000);
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"s\":", "\"fl\":1,\"fl\":1,\"s\":")),
+            "capture: JSONL: duplicate key \"fl\"");
+}
+
+TEST(JsonlGrammar, RepeatedKnownKeyIsRejected) {
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"e\":", "\"s\":1,\"e\":")),
+            "capture: JSONL: duplicate key \"s\"");
+  EXPECT_EQ(record_error(edit(kDataRecord, "\"pr\":0", "\"pr\":0,\"pu\":2")),
+            "capture: JSONL: duplicate key \"pu\"");
+}
+
+TEST(JsonlGrammar, EscapesWorkInKeysAndValues) {
+  // Every supported escape, in an unknown key and in its value.
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"s\":",
+                              R"("a\"b\\c\nd\te":"x\"y\\z\n\t","s":)"))
+                .start,
+            90000);
+  // Keys compare decoded: an escaped tab and a raw tab are the same key.
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"s\":", "\"a\\tb\":1,\"a\tb\":2,\"s\":")),
+            "capture: JSONL: duplicate key \"a\tb\"");
+  // A decoded value is what the reader sees.
+  EXPECT_EQ(record_error(edit(kRtsRecord, R"("RTS")", R"("R\"TS")")),
+            "capture: JSONL: unknown frame type \"R\"TS\"");
+  // Any other escape throws, in a key or in a value.
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"s\":", R"("\u0041":1,"s":)")),
+            "capture: JSONL: unsupported escape");
+  EXPECT_EQ(record_error(edit(kRtsRecord, R"("RTS")", R"("R\/TS")")),
+            "capture: JSONL: unsupported escape");
+}
+
+TEST(JsonlGrammar, MissingKeyIsNamed) {
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"len\":20,", "")),
+            "capture: JSONL: missing key \"len\"");
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"t\":\"RTS\",", "")),
+            "capture: JSONL: missing key \"t\"");
+  // Packet keys are read only from DATA records.
+  EXPECT_EQ(record_error(edit(kDataRecord, "\"pu\":1,", "")),
+            "capture: JSONL: missing key \"pu\"");
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"rate\":1", "\"rate\":1,\"pu\":\"x\""))
+                .type,
+            FrameType::kRts);
+  EXPECT_EQ(jsonl_error(edit(journal_with(kRtsRecord), "\"owner\":0,", "")),
+            "capture: JSONL: missing key \"owner\"");
+}
+
+TEST(JsonlGrammar, StringsWhereNumbersBelongThrow) {
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"s\":90000", "\"s\":\"90000\"")),
+            "capture: JSONL: key \"s\" not a number");
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"rssi\":0", "\"rssi\":\"0\"")),
+            "capture: JSONL: key \"rssi\" not a number");
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"t\":\"RTS\"", "\"t\":5")),
+            "capture: JSONL: unknown frame type \"5\"");
+}
+
+TEST(JsonlGrammar, MalformedObjectsThrow) {
+  const std::pair<std::string, const char*> cases[] = {
+      {std::string(kRtsRecord) + " x", "trailing content after object"},
+      {std::string(kRtsRecord) + " \t", ""},
+      {edit(kRtsRecord, "{", "x{"), "expected '{'"},
+      {edit(kRtsRecord, "\"rate\":1}", "\"rate\":1,}"), "expected string"},
+      {edit(kRtsRecord, "\"s\":", "\"s\" : \t"), ""},
+      {edit(kRtsRecord, "\"s\":", "\"s\"="), "expected ':'"},
+      {edit(kRtsRecord, "\"s\":90000", "\"s\":"), "expected value"},
+      {edit(kRtsRecord, ",\"e\"", " \"e\""), "expected ',' or '}'"},
+      {edit(kRtsRecord, "\"rate\":1}", "\"rate\":1"), "unterminated object"},
+      {edit(kRtsRecord, "\"rate\":1}", "\"rate\":\"1"), "unterminated string"},
+      {edit(kRtsRecord, "\"rate\":1}", "\"rate\":\"1\\"), "unterminated escape"},
+      {edit(kRtsRecord, "\"s\":90000", "\"s\":null"), "expected ',' or '}'"},
+  };
+  for (const auto& [record, what] : cases) {
+    const std::string want = *what ? std::string("capture: JSONL: ") + what : "";
+    EXPECT_EQ(record_error(record), want) << record;
+  }
+}
+
+TEST(JsonlGrammar, FooterAndHeaderValuesAreChecked) {
+  const std::string text = journal_with(kRtsRecord);
+  EXPECT_EQ(jsonl_error(edit(text, "\"g80211_capture\":1", "\"g80211_capture\":2")),
+            "capture: JSONL: unsupported capture format version");
+  EXPECT_EQ(jsonl_error(edit(text, "\"g80211_capture\":1,", "")),
+            "capture: JSONL: not a g80211 capture (missing header line)");
+  EXPECT_EQ(jsonl_error(edit(text, "\"standard\":0", "\"standard\":3")),
+            "capture: JSONL: bad standard");
+  EXPECT_EQ(jsonl_error(edit(text, "_end\":1000000000", "_end\":\"1\"")),
+            "capture: JSONL: key \"g80211_capture_end\" not a number");
+  EXPECT_EQ(parse_jsonl(text).end_time, seconds(1));
+}
+
+// --- loud limits on journal numbers -----------------------------------------------
+
+TEST(JsonlLimits, IntFieldBeyondIntThrows) {
+  // 2^32 + 1 would silently read as node 1 if truncated to int.
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"ta\":0", "\"ta\":4294967297")),
+            "capture: JSONL: key \"ta\" out of range");
+  EXPECT_EQ(jsonl_error(edit(journal_with(kRtsRecord), "\"standard\":0",
+                             "\"standard\":4294967296")),
+            "capture: JSONL: key \"standard\" out of range");
+  EXPECT_EQ(parse_record(edit(kRtsRecord, "\"ta\":0", "\"ta\":-2147483648")).ta,
+            std::numeric_limits<int>::min());
+}
+
+TEST(JsonlLimits, Int64OverflowThrows) {
+  EXPECT_EQ(record_error(edit(kRtsRecord, "\"e\":442000", "\"e\":9223372036854775808")),
+            "capture: JSONL: key \"e\" out of range");
+  EXPECT_EQ(record_error(edit(kDataRecord, "\"pu\":1", "\"pu\":18446744073709551616")),
+            "capture: JSONL: key \"pu\" out of range");
+  EXPECT_EQ(parse_record(edit(kDataRecord, "\"pu\":1", "\"pu\":18446744073709551615"))
+                .pkt_uid,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 // --- live vs replay equivalence ----------------------------------------------

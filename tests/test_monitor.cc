@@ -23,6 +23,7 @@
 
 #include "src/capture/capture_reader.h"
 #include "src/capture/capture_stream.h"
+#include "src/capture/capture_writer.h"
 #include "src/capture/replay.h"
 #include "src/monitor/driver.h"
 #include "src/monitor/engine.h"
@@ -154,35 +155,43 @@ TEST(StreamMonitor, WindowSemantics) {
 // --- tailing a growing journal ------------------------------------------------
 
 TEST(CaptureStream, DeliversAChunkedJournalExactlyOnce) {
-  // Re-write the golden journal a few dozen bytes at a time — every append
-  // ends mid-line or mid-record — polling after each append. Every record
-  // must come out exactly once, in order, identical to the one-shot reader.
+  // Re-write the golden journal a few bytes at a time — at every chunk size
+  // from 1 to 64, so appends end at every offset within a line — polling
+  // after each append. Every record must come out exactly once, in order,
+  // identical to the one-shot reader: the line scan resumes mid-line, and
+  // no parsed view outlives the buffer it points into when consumed bytes
+  // are compacted away.
   const std::vector<std::uint8_t> bytes = slurp(golden_jsonl());
   const Capture expect = read_capture(golden_jsonl());
+  const std::string expect_header =
+      JsonlWriter::header_line(expect.owner, expect.params);
 
-  const std::string path = artifact("chunked.jsonl");
-  std::filesystem::remove(path);
-  { std::ofstream touch(path, std::ios::binary | std::ios::trunc); }
+  for (std::size_t chunk = 1; chunk <= 64; ++chunk) {
+    const std::string path = artifact("chunked.jsonl");
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    CaptureStreamReader reader(path);
+    std::vector<CapturedFrame> frames;
+    EXPECT_EQ(reader.poll(frames), 0u);  // empty file: wait, don't fail
+    EXPECT_FALSE(reader.header_ready());
 
-  CaptureStreamReader reader(path);
-  std::vector<CapturedFrame> frames;
-  EXPECT_EQ(reader.poll(frames), 0u);  // empty file: wait, don't fail
-  EXPECT_FALSE(reader.header_ready());
+    for (std::size_t off = 0; off < bytes.size(); off += chunk) {
+      const std::size_t n = std::min(chunk, bytes.size() - off);
+      out.write(reinterpret_cast<const char*>(bytes.data() + off),
+                static_cast<std::streamsize>(n));
+      out.flush();
+      reader.poll(frames);
+    }
 
-  const std::size_t chunk = 37;
-  for (std::size_t off = 0; off < bytes.size(); off += chunk) {
-    const std::size_t n = std::min(chunk, bytes.size() - off);
-    append(path, bytes.data() + off, n);
-    reader.poll(frames);
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    EXPECT_TRUE(reader.header_ready());
+    EXPECT_TRUE(reader.has_params());
+    ASSERT_TRUE(reader.finished());
+    EXPECT_EQ(JsonlWriter::header_line(reader.owner(), reader.params()),
+              expect_header);
+    EXPECT_EQ(reader.end_time(), expect.end_time);
+    EXPECT_EQ(reader.pending_bytes(), 0u);
+    ASSERT_EQ(frames, expect.frames);
   }
-
-  EXPECT_TRUE(reader.header_ready());
-  EXPECT_TRUE(reader.has_params());
-  EXPECT_TRUE(reader.finished());
-  EXPECT_EQ(reader.owner(), expect.owner);
-  EXPECT_EQ(reader.end_time(), expect.end_time);
-  EXPECT_EQ(reader.pending_bytes(), 0u);
-  EXPECT_EQ(frames, expect.frames);
 }
 
 TEST(CaptureStream, SurfacesPcapSkipStatistics) {
