@@ -1,8 +1,8 @@
 // Streaming-monitor ingest throughput: frames/second through the full
 // detector suite (NAV validation, RSSI profiling, backoff monitoring,
-// spoof/fake-ACK/cross-layer bookkeeping) on the batch path the
-// g80211_monitor tool drives — FrameBatch fill + StreamMonitor::process,
-// no file I/O. The synthetic stream is honest overheard DATA/ACK traffic,
+// spoof/fake-ACK/cross-layer bookkeeping) on the path the g80211_monitor
+// tool drives — a reused vector of polled records, each handed to
+// StreamMonitor::step — with no file I/O. The synthetic stream is honest overheard DATA/ACK traffic,
 // so every per-frame detector runs its steady-state path (profile rings,
 // backoff EWMAs, NAV checks) and state stays bounded: after the first
 // epoch the loop is allocation-free, which is what the /N shard variants
@@ -20,7 +20,6 @@
 
 #include "src/mac/durations.h"
 #include "src/monitor/engine.h"
-#include "src/monitor/frame_batch.h"
 #include "src/phy/wifi_params.h"
 #include "src/runner/thread_pool.h"
 
@@ -36,7 +35,8 @@ constexpr int kExchanges = 2048;  // per epoch: 2 records each
 // exchanges between the pairs, DIFS + a deterministic backoff gap apart,
 // with per-station RSSI. Returns the epoch's end time so consecutive
 // epochs form one monotone journal.
-Time fill_epoch(FrameBatch& batch, const WifiParams& p, Time t) {
+Time fill_epoch(std::vector<CapturedFrame>& out, const WifiParams& p,
+                Time t) {
   const int payload = 1024;
   const Time data_air = p.data_tx_time(payload);
   const Time ack_air = p.ack_tx_time();
@@ -57,7 +57,7 @@ Time fill_epoch(FrameBatch& batch, const WifiParams& p, Time t) {
     data.rssi_dbm = -30.0 - 0.5 * s;
     data.bytes = p.data_mac_overhead_bytes + payload;
     data.rate_mbps = 11.0;
-    batch.push(data);
+    out.push_back(data);
 
     CapturedFrame ack;
     ack.start = data.end + p.sifs;
@@ -69,7 +69,7 @@ Time fill_epoch(FrameBatch& batch, const WifiParams& p, Time t) {
     ack.rssi_dbm = -30.0 - 0.5 * r;
     ack.bytes = p.ack_bytes;
     ack.rate_mbps = 11.0;
-    batch.push(ack);
+    out.push_back(ack);
 
     t = ack.end;
   }
@@ -81,7 +81,7 @@ struct Shard {
   explicit Shard(const WifiParams& p, MonitorConfig cfg)
       : monitor(p, kOwner, cfg) {}
   StreamMonitor monitor;
-  FrameBatch batch;
+  std::vector<CapturedFrame> polled;
   Time now = 0;
 };
 
@@ -103,9 +103,9 @@ void BM_MonitorIngest(benchmark::State& state) {
   for (auto _ : state) {
     for (const auto& sh : streams) {
       pool.submit([&p = *sh, &params] {
-        p.batch.clear();
-        p.now = fill_epoch(p.batch, params, p.now);
-        p.monitor.process(p.batch);
+        p.polled.clear();
+        p.now = fill_epoch(p.polled, params, p.now);
+        for (const CapturedFrame& f : p.polled) p.monitor.step(f);
         // Keep the backlog bounded, as the driver's drain pass does.
         p.monitor.drain_windows();
         p.monitor.drain_alerts();

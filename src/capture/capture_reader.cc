@@ -12,6 +12,7 @@ namespace g80211 {
 namespace {
 
 using capture_detail::ByteCursor;
+using capture_detail::CaptureFormat;
 using capture_detail::fail;
 
 std::vector<std::uint8_t> slurp_bytes(const std::string& path) {
@@ -37,43 +38,22 @@ std::string_view as_text(const std::vector<std::uint8_t>& bytes) {
 
 Capture parse_pcap(const std::vector<std::uint8_t>& bytes) {
   ByteCursor c{&bytes};
-  if (!capture_detail::parse_pcap_file_header(c)) {
-    // Short file: re-run the checked field reads so the error names the
-    // exact field the bytes ran out in (or the bad value before that).
-    if (c.u32("pcap magic") != kPcapMagicNs) {
-      fail("bad pcap magic (expected nanosecond-resolution little-endian pcap)");
-    }
-    const std::uint16_t vmaj = c.u16("pcap version");
-    const std::uint16_t vmin = c.u16("pcap version");
-    if (vmaj != kPcapVersionMajor || vmin != kPcapVersionMinor) {
-      fail("unsupported pcap version");
-    }
-    c.u32("pcap header");
-    c.u32("pcap header");
-    c.u32("pcap header");
-    c.u32("pcap linktype");
-  }
-
+  capture_detail::PcapFile file;
   Capture cap;
-  while (c.remaining() > 0) {
-    capture_detail::PcapRecordHeader h;
-    if (!capture_detail::read_pcap_record(c, h)) {
-      // One-shot parse: an incomplete trailing record is a truncated file.
-      if (c.remaining() < 16) fail("truncated pcap record header");
-      fail("truncated pcap record data");
+  file.feed(c, 0, cap.frames);
+  // One-shot parse: bytes left over are a truncated file. A short file
+  // header is re-read with checked reads, so the error names the exact
+  // field the bytes ran out in (or the bad value before that).
+  if (!file.header_seen) capture_detail::read_pcap_file_header(c);
+  if (c.remaining() > 0) {
+    if (c.remaining() < capture_detail::kPcapRecordHeaderLen) {
+      fail("truncated pcap record header");
     }
-    const std::size_t record_offset = c.pos - 16;
-    CapturedFrame f;
-    if (capture_detail::parse_pcap_record_body(c, h, f)) {
-      if (f.end > cap.end_time) cap.end_time = f.end;
-      cap.frames.push_back(f);
-    } else {
-      if (cap.skipped_unknown == 0) {
-        cap.first_skipped_offset = static_cast<std::int64_t>(record_offset);
-      }
-      ++cap.skipped_unknown;
-    }
+    fail("truncated pcap record data");
   }
+  cap.end_time = file.end_time;
+  cap.skipped_unknown = file.skipped_unknown;
+  cap.first_skipped_offset = file.first_skipped_offset;
   return cap;
 }
 
@@ -107,18 +87,11 @@ Capture read_jsonl(const std::string& path) {
 
 Capture read_capture(const std::string& path) {
   const std::vector<std::uint8_t> bytes = slurp_bytes(path);
-  if (bytes.size() >= 4) {
-    const std::uint32_t magic =
-        static_cast<std::uint32_t>(bytes[0]) |
-        (static_cast<std::uint32_t>(bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[3]) << 24);
-    if (magic == kPcapMagicNs) return parse_pcap(bytes);
+  switch (capture_detail::sniff_format(bytes)) {
+    case CaptureFormat::kPcap: return parse_pcap(bytes);
+    case CaptureFormat::kJsonl: return parse_jsonl(as_text(bytes));
+    default: fail("unrecognised capture file " + path);
   }
-  if (!bytes.empty() && bytes[0] == '{') {
-    return parse_jsonl(as_text(bytes));
-  }
-  fail("unrecognised capture file " + path);
 }
 
 }  // namespace g80211

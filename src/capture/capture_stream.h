@@ -45,11 +45,17 @@ class CaptureStreamReader {
   // that only accept JSONL journals (the monitor, whose detectors need the
   // exact ticks and ground truth pcap drops) use this to fail fast instead
   // of tailing a file that can never produce a record for them.
-  bool pcap_detected() const { return format_ == Format::kPcap; }
+  bool pcap_detected() const {
+    return format_ == capture_detail::CaptureFormat::kPcap;
+  }
 
   // File-level metadata, valid once header_ready().
-  bool header_ready() const { return pcap_header_ || journal_.header_seen; }
-  bool has_params() const { return format_ == Format::kJsonl; }
+  bool header_ready() const {
+    return pcap_.header_seen || journal_.header_seen;
+  }
+  bool has_params() const {
+    return format_ == capture_detail::CaptureFormat::kJsonl;
+  }
   const WifiParams& params() const { return journal_.params; }
   int owner() const { return journal_.owner; }  // kNoAddr for pcap
 
@@ -58,13 +64,15 @@ class CaptureStreamReader {
   // end_time() then tracks the latest frame end seen.
   bool finished() const { return journal_.footer_seen; }
   Time end_time() const {
-    return journal_.footer_seen ? journal_.end_time : end_time_;
+    return pcap_detected() ? pcap_.end_time : journal_.end_time;
   }
 
   // Skip-and-count statistics for unrecognised pcap records; the offset is
   // the first skipped record's absolute byte position in the file.
-  std::int64_t skipped_unknown() const { return skipped_unknown_; }
-  std::int64_t first_skipped_offset() const { return first_skipped_offset_; }
+  std::int64_t skipped_unknown() const { return pcap_.skipped_unknown; }
+  std::int64_t first_skipped_offset() const {
+    return pcap_.first_skipped_offset;
+  }
 
   // Buffered bytes not yet parsed into a record. Nonzero once the producer
   // has stopped writing means the file ends mid-record (truncated).
@@ -73,11 +81,7 @@ class CaptureStreamReader {
   const std::string& path() const { return path_; }
 
  private:
-  enum class Format { kUndetected, kPcap, kJsonl };
-
   std::size_t read_appended();
-  std::size_t drain_pcap(std::vector<CapturedFrame>& out);
-  std::size_t drain_jsonl(std::vector<CapturedFrame>& out);
   void compact(std::size_t consumed);
 
   std::string path_;
@@ -86,12 +90,10 @@ class CaptureStreamReader {
   std::vector<std::uint8_t> buf_;   // unparsed bytes
   std::int64_t buf_offset_ = 0;     // absolute file offset of buf_[0]
 
-  Format format_ = Format::kUndetected;
-  bool pcap_header_ = false;              // pcap file header parsed
+  capture_detail::CaptureFormat format_ =
+      capture_detail::CaptureFormat::kPending;
+  capture_detail::PcapFile pcap_;         // pcap header, horizon, skips
   capture_detail::JsonlJournal journal_;  // JSONL header, footer, order
-  Time end_time_ = 0;                     // latest frame end seen
-  std::int64_t skipped_unknown_ = 0;
-  std::int64_t first_skipped_offset_ = -1;
 };
 
 }  // namespace g80211

@@ -8,6 +8,7 @@
 
 #include "src/mac/durations.h"
 #include "src/runner/metric_sink.h"
+#include "src/sim/check.h"
 
 namespace g80211 {
 
@@ -25,12 +26,16 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
 }
 
-// Node id -> 802.11 address bytes (see capture.h for the mapping).
+// Node id -> 802.11 address bytes (see capture.h for the mapping). The
+// address holds 16 bits of id: any other id fails the check rather than
+// alias another node's address. This runs inside the MAC's sniffer taps,
+// so the failure routes through G80211_CHECK, the event path's thrower.
 void put_addr(std::vector<std::uint8_t>& out, int id) {
   if (id == kBroadcast) {
     for (int i = 0; i < 6; ++i) out.push_back(0xff);
     return;
   }
+  G80211_CHECK(id >= 0 && id <= 0xffff);
   const auto u = static_cast<std::uint16_t>(id);
   out.push_back(kMacOui[0]);
   out.push_back(kMacOui[1]);
@@ -68,6 +73,38 @@ std::size_t mac_header_len(FrameType t) {
     case FrameType::kData: return kHdrLenData;
   }
   return 0;
+}
+
+// The record fields both sniffer taps share: what the frame says on air,
+// its on-air length and rate, and the payload identity of a DATA frame.
+CapturedFrame capture_record(const WifiParams& params, const Frame& f,
+                             Time start, Time end) {
+  CapturedFrame r;
+  r.start = start;
+  r.end = end;
+  r.type = f.type;
+  r.ta = f.ta;
+  r.ra = f.ra;
+  r.duration = f.duration;
+  r.seq = f.seq;
+  r.frag = f.frag_index;
+  r.more_frags = f.more_frags;
+  r.retry = f.retry;
+  r.bytes = on_air_bytes(params, f);
+  r.rate_mbps = f.type == FrameType::kData
+                    ? (f.rate_mbps > 0 ? f.rate_mbps : params.data_rate_mbps)
+                    : params.basic_rate_mbps;
+  if (f.type == FrameType::kData && f.packet) {
+    r.flow_id = f.packet->flow_id;
+    r.pkt_seq = f.packet->seq;
+    r.pkt_uid = f.packet->uid;
+    r.src_node = f.packet->src_node;
+    r.dst_node = f.packet->dst_node;
+    r.pkt_created = f.packet->created;
+    r.probe = f.packet->is_probe;
+    r.probe_reply = f.packet->probe_reply;
+  }
+  return r;
 }
 
 void fwrite_all(std::FILE* f, const std::vector<std::uint8_t>& bytes) {
@@ -262,35 +299,11 @@ void CaptureWriter::attach(Mac& mac) {
   mac.sniffer = [this, params, prev = std::move(prev_rx)](const Frame& f,
                                                           const RxInfo& i) {
     if (prev) prev(f, i);
-    CapturedFrame r;
-    r.start = i.start;
-    r.end = i.end;
-    r.type = f.type;
-    r.ta = f.ta;
-    r.ra = f.ra;
+    CapturedFrame r = capture_record(params, f, i.start, i.end);
     r.true_tx = f.true_tx;
-    r.duration = f.duration;
-    r.seq = f.seq;
-    r.frag = f.frag_index;
-    r.more_frags = f.more_frags;
-    r.retry = f.retry;
     r.corrupted = i.corrupted;
     r.collided = i.collided;
     r.rssi_dbm = i.rssi_dbm;
-    r.bytes = on_air_bytes(params, f);
-    r.rate_mbps = f.type == FrameType::kData
-                      ? (f.rate_mbps > 0 ? f.rate_mbps : params.data_rate_mbps)
-                      : params.basic_rate_mbps;
-    if (f.type == FrameType::kData && f.packet) {
-      r.flow_id = f.packet->flow_id;
-      r.pkt_seq = f.packet->seq;
-      r.pkt_uid = f.packet->uid;
-      r.src_node = f.packet->src_node;
-      r.dst_node = f.packet->dst_node;
-      r.pkt_created = f.packet->created;
-      r.probe = f.packet->is_probe;
-      r.probe_reply = f.packet->probe_reply;
-    }
     record(r);
   };
 
@@ -301,33 +314,9 @@ void CaptureWriter::attach(Mac& mac) {
   mac.tx_sniffer = [this, params, self, prev = std::move(prev_tx)](
                        const Frame& f, Time start, Time end) {
     if (prev) prev(f, start, end);
-    CapturedFrame r;
-    r.start = start;
-    r.end = end;
-    r.type = f.type;
-    r.ta = f.ta;
-    r.ra = f.ra;
+    CapturedFrame r = capture_record(params, f, start, end);
     r.true_tx = self;
-    r.duration = f.duration;
-    r.seq = f.seq;
-    r.frag = f.frag_index;
-    r.more_frags = f.more_frags;
-    r.retry = f.retry;
     r.tx = true;
-    r.bytes = on_air_bytes(params, f);
-    r.rate_mbps = f.type == FrameType::kData
-                      ? (f.rate_mbps > 0 ? f.rate_mbps : params.data_rate_mbps)
-                      : params.basic_rate_mbps;
-    if (f.type == FrameType::kData && f.packet) {
-      r.flow_id = f.packet->flow_id;
-      r.pkt_seq = f.packet->seq;
-      r.pkt_uid = f.packet->uid;
-      r.src_node = f.packet->src_node;
-      r.dst_node = f.packet->dst_node;
-      r.pkt_created = f.packet->created;
-      r.probe = f.packet->is_probe;
-      r.probe_reply = f.packet->probe_reply;
-    }
     record(r);
   };
 }

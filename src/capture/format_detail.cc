@@ -301,31 +301,18 @@ void parse_jsonl_header(std::string_view line, JsonlJournal& j) {
   p.data_mac_overhead_bytes = rec.i32("data_mac_overhead_bytes");
 }
 
-}  // namespace
+// --- pcap records ------------------------------------------------------------
 
-// --- pcap --------------------------------------------------------------------
+struct PcapRecordHeader {
+  Time start = 0;           // nanosecond timestamp
+  std::uint32_t incl = 0;   // captured bytes following the record header
+  std::uint32_t orig = 0;   // original on-air length
+};
 
-bool parse_pcap_file_header(ByteCursor& c) {
-  if (c.remaining() < 24) return false;
-  if (c.u32("pcap magic") != kPcapMagicNs) {
-    fail("bad pcap magic (expected nanosecond-resolution little-endian pcap)");
-  }
-  const std::uint16_t vmaj = c.u16("pcap version");
-  const std::uint16_t vmin = c.u16("pcap version");
-  if (vmaj != kPcapVersionMajor || vmin != kPcapVersionMinor) {
-    fail("unsupported pcap version");
-  }
-  c.u32("pcap header");  // thiszone
-  c.u32("pcap header");  // sigfigs
-  c.u32("pcap header");  // snaplen
-  if (c.u32("pcap linktype") != kLinktypeRadiotap) {
-    fail("unsupported linktype (want IEEE802_11_RADIOTAP)");
-  }
-  return true;
-}
-
+// Record header + completeness check: false when the 16-byte header or the
+// `incl` bytes after it are not fully buffered yet (cursor unmoved).
 bool read_pcap_record(ByteCursor& c, PcapRecordHeader& h) {
-  if (c.remaining() < 16) return false;
+  if (c.remaining() < kPcapRecordHeaderLen) return false;
   const std::size_t mark = c.pos;
   const std::uint32_t ts_sec = c.u32("pcap record header");
   const std::uint32_t ts_nsec = c.u32("pcap record header");
@@ -339,6 +326,10 @@ bool read_pcap_record(ByteCursor& c, PcapRecordHeader& h) {
   return true;
 }
 
+// Parse one record's radiotap + 802.11 bytes; the cursor sits right after
+// the record header and is left at the record's end regardless of outcome.
+// Returns false for an unrecognised record (unknown radiotap layout or
+// frame type/subtype): skip-and-count, not an error.
 bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
                             CapturedFrame& f) {
   const std::size_t record_end = c.pos + h.incl;
@@ -403,6 +394,65 @@ bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
   return known;
 }
 
+}  // namespace
+
+// --- format sniff ------------------------------------------------------------
+
+CaptureFormat sniff_format(const std::vector<std::uint8_t>& bytes) {
+  if (bytes.empty()) return CaptureFormat::kPending;
+  if (bytes[0] == '{') return CaptureFormat::kJsonl;
+  if (bytes.size() < 4) return CaptureFormat::kPending;
+  ByteCursor c{&bytes};
+  return c.u32("pcap magic") == kPcapMagicNs ? CaptureFormat::kPcap
+                                             : CaptureFormat::kUnrecognised;
+}
+
+// --- pcap --------------------------------------------------------------------
+
+void read_pcap_file_header(ByteCursor& c) {
+  if (c.u32("pcap magic") != kPcapMagicNs) {
+    fail("bad pcap magic (expected nanosecond-resolution little-endian pcap)");
+  }
+  const std::uint16_t vmaj = c.u16("pcap version");
+  const std::uint16_t vmin = c.u16("pcap version");
+  if (vmaj != kPcapVersionMajor || vmin != kPcapVersionMinor) {
+    fail("unsupported pcap version");
+  }
+  c.u32("pcap header");  // thiszone
+  c.u32("pcap header");  // sigfigs
+  c.u32("pcap header");  // snaplen
+  if (c.u32("pcap linktype") != kLinktypeRadiotap) {
+    fail("unsupported linktype (want IEEE802_11_RADIOTAP)");
+  }
+}
+
+std::size_t PcapFile::feed(ByteCursor& c, std::int64_t file_offset,
+                           std::vector<CapturedFrame>& out) {
+  if (!header_seen) {
+    if (c.remaining() < kPcapFileHeaderLen) return 0;
+    read_pcap_file_header(c);
+    header_seen = true;
+  }
+  const std::size_t first = out.size();
+  PcapRecordHeader h;
+  CapturedFrame f;
+  for (;;) {
+    const std::size_t record_offset = c.pos;
+    if (!read_pcap_record(c, h)) break;
+    if (parse_pcap_record_body(c, h, f)) {
+      if (f.end > end_time) end_time = f.end;
+      out.push_back(f);
+    } else {
+      if (skipped_unknown == 0) {
+        first_skipped_offset =
+            file_offset + static_cast<std::int64_t>(record_offset);
+      }
+      ++skipped_unknown;
+    }
+  }
+  return out.size() - first;
+}
+
 // --- jsonl -------------------------------------------------------------------
 
 JsonlLine parse_jsonl_record(std::string_view line, CapturedFrame& f,
@@ -463,6 +513,7 @@ bool JsonlJournal::feed(std::string_view line, CapturedFrame& f) {
   // a regression means the file was corrupted or hand-reordered.
   if (f.event_time() < last_event) fail("JSONL: records out of order");
   last_event = f.event_time();
+  if (f.end > end_time) end_time = f.end;
   return true;
 }
 

@@ -7,12 +7,13 @@
 // byte-exact round-trip guarantee and the monitor's tail mode cannot
 // drift apart.
 //
-// The incremental contract: pcap header/record readers return false when
-// the buffered bytes end before the record does ("wait for more input"),
-// and throw std::runtime_error only for bytes that can never become valid
+// The incremental contract: both readers sniff the format with
+// sniff_format() and hand their buffered pcap bytes to one PcapFile, which
+// stops where the bytes end before a record does ("wait for more input")
+// and throws std::runtime_error only for bytes that can never become valid
 // (bad magic, bad radiotap version, foreign MAC address). A one-shot
-// parser turns a trailing false into a "truncated" error; a tail reader
-// turns it into a poll-again. JSONL is line-framed instead: both readers
+// parser turns leftover bytes into a "truncated" error; a tail reader
+// keeps them for the next poll. JSONL is line-framed instead: both readers
 // hand each complete line to one JsonlJournal, which throws on a line
 // that is not valid journal JSON.
 //
@@ -51,28 +52,41 @@ struct ByteCursor {
   std::uint32_t u32(const char* what);
 };
 
+// --- format sniff ------------------------------------------------------------
+
+// What a capture's first bytes say it is: the pcap magic or a leading '{'.
+// kPending while the bytes are empty, or fewer than 4 and not '{' (they
+// could still grow into a pcap magic).
+enum class CaptureFormat { kPending, kPcap, kJsonl, kUnrecognised };
+CaptureFormat sniff_format(const std::vector<std::uint8_t>& bytes);
+
 // --- pcap --------------------------------------------------------------------
 
-// Global pcap file header (magic/version/linktype). False: fewer than 24
-// bytes available. Throws on anything that is not our pcap flavour.
-bool parse_pcap_file_header(ByteCursor& c);
+inline constexpr std::size_t kPcapFileHeaderLen = 24;
+inline constexpr std::size_t kPcapRecordHeaderLen = 16;
 
-struct PcapRecordHeader {
-  Time start = 0;           // nanosecond timestamp
-  std::uint32_t incl = 0;   // captured bytes following the record header
-  std::uint32_t orig = 0;   // original on-air length
+// Reads the global pcap file header (magic/version/linktype) with checked
+// reads: throws on anything that is not our pcap flavour, or names the
+// field the bytes run out in.
+void read_pcap_file_header(ByteCursor& c);
+
+// File-level state of one pcap capture: the file header, then records
+// until the buffered bytes run out.
+struct PcapFile {
+  bool header_seen = false;
+  Time end_time = 0;  // latest frame end
+  // Unrecognised records (unknown radiotap layout or frame type/subtype)
+  // are skipped and counted, not errors.
+  std::int64_t skipped_unknown = 0;
+  std::int64_t first_skipped_offset = -1;
+
+  // Parses the file header (once) and then every record complete in c's
+  // bytes, appending the frames to `out`; `file_offset` is the absolute
+  // file position of c's first byte. Stops at the first record that is not
+  // fully buffered, with the cursor at its start. Returns frames appended.
+  std::size_t feed(ByteCursor& c, std::int64_t file_offset,
+                   std::vector<CapturedFrame>& out);
 };
-
-// Record header + completeness check: false when the 16-byte header or the
-// `incl` bytes after it are not fully buffered yet (cursor unmoved).
-bool read_pcap_record(ByteCursor& c, PcapRecordHeader& h);
-
-// Parse one record's radiotap + 802.11 bytes; the cursor sits right after
-// the record header and is left at the record's end regardless of outcome.
-// Returns false for an unrecognised record (unknown radiotap layout or
-// frame type/subtype): skip-and-count, not an error.
-bool parse_pcap_record_body(ByteCursor& c, const PcapRecordHeader& h,
-                            CapturedFrame& f);
 
 // --- jsonl -------------------------------------------------------------------
 
@@ -91,7 +105,7 @@ struct JsonlJournal {
   bool footer_seen = false;
   int owner = kNoAddr;  // from the header
   WifiParams params;    // from the header
-  Time end_time = 0;    // from the footer
+  Time end_time = 0;    // from the footer; latest frame end until then
   Time last_event = 0;
 
   // Feeds one line (without its '\n'); true when it was a frame record,

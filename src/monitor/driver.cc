@@ -19,7 +19,6 @@ MonitorDriver::MonitorDriver(MonitorOptions opts,
 }
 
 void MonitorDriver::pump(Stream& s) {
-  s.batch.clear();
   s.polled.clear();
   s.reader.poll(s.polled);
   // Reject pcap on the magic bytes, before a full file header exists:
@@ -36,9 +35,10 @@ void MonitorDriver::pump(Stream& s) {
     s.monitor = std::make_unique<StreamMonitor>(
         s.reader.params(), s.reader.owner(), opts_.config);
   }
-  for (const CapturedFrame& f : s.polled) s.batch.push(f);
-  if (s.monitor != nullptr) s.monitor->process(s.batch);
-  s.consumed_last_pass = s.batch.size();
+  if (s.monitor != nullptr) {
+    for (const CapturedFrame& f : s.polled) s.monitor->step(f);
+  }
+  s.consumed_last_pass = s.polled.size();
 }
 
 std::size_t MonitorDriver::pass() {

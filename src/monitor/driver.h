@@ -1,5 +1,5 @@
 // Multi-stream monitor driver: shards capture streams across a worker
-// pool and runs the poll -> batch -> detect loop for each.
+// pool and runs the poll -> detect loop for each.
 //
 // Each stream (one capture journal = one vantage station's BSS view) is
 // pinned to shard `index % shards` for its whole life, and a shard is
@@ -102,7 +102,6 @@ class MonitorDriver {
     CaptureStreamReader reader;
     std::unique_ptr<StreamMonitor> monitor;  // created once the header is in
     std::vector<CapturedFrame> polled;  // this pass's records, reused
-    FrameBatch batch;
     std::size_t consumed_last_pass = 0;
   };
 

@@ -42,10 +42,6 @@ void StreamMonitor::step(const CapturedFrame& r) {
   ++window_frames_;
 }
 
-void StreamMonitor::process(const FrameBatch& batch) {
-  for (std::size_t i = 0; i < batch.size(); ++i) step(batch.row(i));
-}
-
 void StreamMonitor::finalize(Time end_time) {
   if (finalized_) return;
   finalized_ = true;

@@ -25,7 +25,7 @@
 // tests/test_monitor.cc.
 //
 // StreamMonitor does no I/O and never blocks; feeding it (from a file, a
-// tailed journal, or a synthetic batch in the benches) is the driver's
+// tailed journal, or synthetic frames in the benches) is the driver's
 // job. It is single-threaded by design — the driver shards streams across
 // workers, never one stream across two.
 #pragma once
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/capture/replay_engine.h"
-#include "src/monitor/frame_batch.h"
 
 namespace g80211 {
 
@@ -85,9 +84,9 @@ class StreamMonitor {
  public:
   StreamMonitor(const WifiParams& params, int owner, MonitorConfig cfg);
 
-  // Consume a whole batch in order. Steady-state allocation-free apart
-  // from window/alert emission and first-sight-of-a-node detector growth.
-  void process(const FrameBatch& batch);
+  // Consume one record, in journal order. Steady-state allocation-free
+  // apart from window/alert emission and first-sight-of-a-node detector
+  // growth.
   void step(const CapturedFrame& r);
 
   // Close the trailing partial window at the capture horizon and run a

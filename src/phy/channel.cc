@@ -17,8 +17,9 @@ const NeighborSoA& Channel::neighbors_of(Phy* sender) {
   if (t.topo_gen != topology_gen_ || t.prop_gen != prop_gen) {
     t.soa.clear();
     // Same walk, same skip rules, same double math as the pre-cache
-    // per-frame scan — entries land in attach order, so the fan-out (and
-    // with it every event ordering and RNG draw) is bit-identical.
+    // per-frame scan (tests/test_phy_channel.cc keeps it as the oracle) —
+    // entries land in attach order, so the fan-out (and with it every
+    // event ordering and RNG draw) is bit-identical.
     for (Phy* rx : phys_) {
       if (rx == sender) continue;
       const double d = distance(sender->position(), rx->position());
@@ -67,47 +68,12 @@ void Channel::release_record(TxRecord* rec) {
   free_records_.push_back(rec);
 }
 
-// Reference fan-out: the pre-cache per-frame walk, all radio math redone
-// from positions for every frame. Kept for the SoA/scalar bit-identity
-// test; not the hot path.
-void Channel::transmit_scalar(TxRecord* rec, Phy* sender) {
-  G80211_ALLOC_OK(
-      "reference fan-out kept for the SoA/scalar bit-identity test; the "
-      "production sweep is the link-table path in transmit()");
-  const Time now = sched_->now();
-  for (Phy* rx : phys_) {
-    if (rx == sender) continue;
-    const double d = distance(sender->position(), rx->position());
-    if (!sensed_at(d)) continue;
-    const double p = propagation_.rx_power_w(d);
-    rec->sensed.push_back(rx);
-    rx->incoming_start(*rec, p, watts_to_dbm(p), decodable_at(d), now);
-  }
-}
-
 void Channel::transmit(Phy* sender, const Frame& frame, Time airtime) {
   const Time now = sched_->now();
   const Time end = now + airtime;
   // tx_id advances even for transmissions nobody senses (as it always
   // has), so id sequences are independent of topology.
   const std::uint64_t tx_id = next_tx_id_++;
-
-  if (use_scalar_fanout) {
-    TxRecord* rec = acquire_record();
-    rec->frame = frame;
-    rec->frame.true_tx = sender->id();
-    rec->end = end;
-    rec->tx_id = tx_id;
-    rec->sender = sender;
-    transmit_scalar(rec, sender);
-    if (rec->sensed.empty()) {
-      release_record(rec);
-      sched_->at(end, [sender] { sender->tx_done(); });
-      return;
-    }
-    sched_->at(end, [this, rec] { finish(rec); });
-    return;
-  }
 
   const NeighborSoA& t = neighbors_of(sender);
   if (t.empty()) {

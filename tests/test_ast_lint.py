@@ -163,7 +163,34 @@ def main():
               and cold.stdout == warm.stdout,
               f"cold:\n{cold.stdout}\nwarm:\n{warm.stdout}")
 
-    # 10. The real repository scans clean (also registered as `ast_repo`).
+    # 10. A class defined only in a .cc file is local to its translation
+    # unit. good/src/sim/poller.cc calls get() on a receiver whose type
+    # the analyzer cannot infer; the only get() that throws belongs to such
+    # a class in good/src/capture/local_record.cc, so the pair scans clean.
+    # Moved into a header, the same class is visible to every file, and
+    # the finding comes back.
+    pair = ["src/sim/poller.cc", "src/capture/local_record.cc"]
+    p = run(tree("good") + pair)
+    check("class local to another .cc is not a fallback callee",
+          p.returncode == 0, f"exit={p.returncode}\n{p.stdout}{p.stderr}")
+    with tempfile.TemporaryDirectory() as td:
+        tmp = Path(td) / "good"
+        for rel in ("src/sim", "src/capture", "build"):
+            (tmp / rel).mkdir(parents=True)
+        good = TESTDATA / "good"
+        (tmp / pair[0]).write_text((good / pair[0]).read_text())
+        (tmp / "src/capture/local_record.h").write_text(
+            (good / pair[1]).read_text())
+        (tmp / "build/compile_commands.json").write_text(
+            f'[{{"directory": "..", "file": "{pair[0]}", '
+            f'"command": "c++ -c {pair[0]}"}}]')
+        p = run(["--root", str(tmp), "-p", str(tmp / "build"), "--no-cache",
+                 pair[0], "src/capture/local_record.h"])
+        check("the same class in a header is a fallback callee",
+              p.returncode == 1 and rules_in(p.stdout) == {"event-path-throw"},
+              f"exit={p.returncode}\n{p.stdout}{p.stderr}")
+
+    # 11. The real repository scans clean (also registered as `ast_repo`).
     if (REPO / "build" / "compile_commands.json").is_file():
         p = run(["--root", str(REPO), "-p", str(REPO / "build")])
         check("repository scans clean", p.returncode == 0,

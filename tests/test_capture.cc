@@ -37,6 +37,7 @@
 #include "src/phy/error_model.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/topology.h"
+#include "src/sim/check.h"
 
 namespace g80211 {
 namespace {
@@ -260,6 +261,23 @@ TEST(CaptureReader, SkipsUnknownPcapRecords) {
   // The skip statistics point at the record, not the bad byte: the first
   // record header starts right after the 24-byte pcap file header.
   EXPECT_EQ(cap.first_skipped_offset, 24);
+}
+
+TEST(PcapWriter, NodeIdsOutsideTheAddressThrow) {
+  // An address carries 16 bits of node id. Wider ids, and negative ids
+  // other than broadcast, used to be truncated into another node's
+  // address (65536 was written as node 0).
+  CapturedFrame f;
+  f.type = FrameType::kRts;
+  f.ta = 0;
+  for (const int id : {0, 0xffff, kBroadcast}) {
+    f.ra = id;
+    EXPECT_NO_THROW(PcapWriter::serialize_record(f)) << id;
+  }
+  for (const int id : {0x10000, kNoAddr, -3, std::numeric_limits<int>::max()}) {
+    f.ra = id;
+    EXPECT_THROW(PcapWriter::serialize_record(f), CheckFailure) << id;
+  }
 }
 
 TEST(CaptureReader, DispatchesByContent) {

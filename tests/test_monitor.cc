@@ -27,7 +27,6 @@
 #include "src/capture/replay.h"
 #include "src/monitor/driver.h"
 #include "src/monitor/engine.h"
-#include "src/monitor/frame_batch.h"
 
 namespace g80211 {
 namespace {
@@ -74,29 +73,14 @@ void append(const std::string& path, const std::uint8_t* data,
 
 // --- monitor vs. replay -------------------------------------------------------
 
-TEST(FrameBatch, RowRoundTripsEveryField) {
-  const Capture cap = read_capture(golden_jsonl());
-  ASSERT_GT(cap.frames.size(), 100u);
-  FrameBatch batch;
-  for (const CapturedFrame& f : cap.frames) batch.push(f);
-  ASSERT_EQ(batch.size(), cap.frames.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch.row(i), cap.frames[i]) << "row " << i;
-    EXPECT_EQ(batch.event_time(i), cap.frames[i].event_time());
-  }
-}
-
 TEST(StreamMonitor, MatchesReplayOnTheGoldenFixture) {
   const Capture cap = read_capture(golden_jsonl());
   ASSERT_TRUE(cap.has_params);
 
-  FrameBatch batch;
-  for (const CapturedFrame& f : cap.frames) batch.push(f);
-
   MonitorConfig cfg;
   cfg.window = milliseconds(10);
   StreamMonitor monitor(cap.params, cap.owner, cfg);
-  monitor.process(batch);
+  for (const CapturedFrame& f : cap.frames) monitor.step(f);
   monitor.finalize(cap.end_time);
 
   // The whole point: the streaming front-end ends with exactly the verdicts
@@ -216,6 +200,42 @@ TEST(CaptureStream, SurfacesPcapSkipStatistics) {
   EXPECT_EQ(reader.skipped_unknown(), 1);
   EXPECT_EQ(reader.first_skipped_offset(), 24);
   EXPECT_EQ(frames.size(), read_capture(golden_pcap()).frames.size() - 1);
+}
+
+TEST(CaptureStream, DeliversAChunkedPcapExactlyOnce) {
+  // The pcap counterpart of the chunked journal test, on the doctored
+  // fixture above (one skipped record): appends end inside the file
+  // header, inside record headers and inside record bodies. The tail
+  // reader must wait at each, then report exactly what the one-shot
+  // parser does: frames, skip count, absolute skip offset and horizon.
+  std::vector<std::uint8_t> bytes = slurp(golden_pcap());
+  ASSERT_GT(bytes.size(), 52u);
+  bytes[24 + 16 + 11] = 0x80;
+  const Capture expect = parse_pcap(bytes);
+  ASSERT_EQ(expect.skipped_unknown, 1);
+
+  for (std::size_t chunk = 1; chunk <= 64; ++chunk) {
+    const std::string path = artifact("chunked.pcap");
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    CaptureStreamReader reader(path);
+    std::vector<CapturedFrame> frames;
+    for (std::size_t off = 0; off < bytes.size(); off += chunk) {
+      const std::size_t n = std::min(chunk, bytes.size() - off);
+      out.write(reinterpret_cast<const char*>(bytes.data() + off),
+                static_cast<std::streamsize>(n));
+      out.flush();
+      reader.poll(frames);
+    }
+
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    EXPECT_TRUE(reader.header_ready());
+    EXPECT_FALSE(reader.finished());
+    EXPECT_EQ(reader.skipped_unknown(), expect.skipped_unknown);
+    EXPECT_EQ(reader.first_skipped_offset(), expect.first_skipped_offset);
+    EXPECT_EQ(reader.end_time(), expect.end_time);
+    EXPECT_EQ(reader.pending_bytes(), 0u);
+    ASSERT_EQ(frames, expect.frames);
+  }
 }
 
 // --- the multi-stream driver --------------------------------------------------

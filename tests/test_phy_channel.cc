@@ -2,6 +2,7 @@
 // range semantics, half-duplex behaviour, BER corruption delivery.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/phy/channel.h"
@@ -364,87 +365,65 @@ TEST_F(PhyChannelTest, PropagationChangeInvalidatesCachedRxPower) {
   EXPECT_EQ(after, 2.0 * before) << "cached rx power must track tx power";
 }
 
-// The SoA fan-out sweep must be bit-identical to the reference scalar walk
-// (per-frame distance/propagation math, no link tables): same deliveries in
-// the same order, same RSSI bits, same corruption verdicts, same carrier
-// edges. Mixed topology — in comm range, interference-band only, and out of
-// sensing range — with overlapping transmissions to exercise the capture
-// rule, and RSSI noise left on so RNG draw sequences are compared too.
-TEST(ChannelFanoutIdentity, SoaMatchesScalarOnMixedTopology) {
-  struct World {
-    Scheduler sched;
-    Channel channel{sched, WifiParams::b11()};
-    std::vector<std::unique_ptr<Phy>> phys;
-    std::vector<std::unique_ptr<RecordingListener>> listeners;
+// Reference link table: the per-frame walk transmit() did before link
+// tables existed — distance, range rules and propagation math redone from
+// positions, over every attached PHY in attach order.
+struct RefLink {
+  const Phy* rx;
+  double power_w;
+  double power_dbm;
+  bool decodable;
+};
 
-    explicit World(bool scalar) {
-      channel.use_scalar_fanout = scalar;
-      channel.set_ranges(50.0, 100.0);
-      const Position pos[] = {{0, 0},  {10, 0},  {30, 0},
-                              {70, 0},  // interference band: sensed only
-                              {150, 0},  // out of sensing range entirely
-                              {40, 30}};
-      for (int id = 0; id < 6; ++id) {
-        phys.push_back(
-            std::make_unique<Phy>(channel, id, pos[id], Rng(100 + id)));
-        listeners.push_back(std::make_unique<RecordingListener>());
-        phys.back()->set_listener(listeners.back().get());
+std::vector<RefLink> reference_walk(Channel& channel, const Phy* sender) {
+  std::vector<RefLink> out;
+  for (const Phy* rx : channel.phys()) {
+    if (rx == sender) continue;
+    const double d = distance(sender->position(), rx->position());
+    if (!channel.sensed_at(d)) continue;
+    const double p = channel.propagation().rx_power_w(d);
+    out.push_back({rx, p, watts_to_dbm(p), channel.decodable_at(d)});
+  }
+  return out;
+}
+
+// Every sender's cached link table must equal the reference walk: same
+// receivers in attach order, bit-equal powers, same decodability. Mixed
+// topology (in comm range, interference band only, out of sensing range),
+// checked as built and again after each kind of invalidation: a move, a
+// range change and a tx-power change.
+TEST_F(PhyChannelTest, LinkTablesMatchTheReferenceWalk) {
+  channel_.set_ranges(50.0, 100.0);
+  const Position pos[] = {{0, 0},  {10, 0},  {30, 0},
+                          {70, 0},  // interference band: sensed only
+                          {150, 0},  // out of sensing range entirely
+                          {40, 30}};
+  for (int id = 0; id < 6; ++id) add_phy(id, pos[id]);
+
+  auto expect_tables_match = [&](const char* when) {
+    SCOPED_TRACE(when);
+    for (const auto& sender : phys_) {
+      SCOPED_TRACE("sender " + std::to_string(sender->id()));
+      const NeighborSoA& t = channel_.neighbors_of(sender.get());
+      const std::vector<RefLink> ref = reference_walk(channel_, sender.get());
+      ASSERT_EQ(t.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(t.rx[i], ref[i].rx);
+        EXPECT_EQ(t.power_w[i], ref[i].power_w);
+        EXPECT_EQ(t.power_dbm[i], ref[i].power_dbm);
+        EXPECT_EQ(t.decodable[i] != 0, ref[i].decodable);
       }
-    }
-
-    void run() {
-      auto frame = [](int ta, int ra) {
-        Frame f;
-        f.type = FrameType::kData;
-        f.ta = ta;
-        f.ra = ra;
-        f.packet = make_packet();
-        f.packet->size_bytes = 1064;
-        return f;
-      };
-      phys[0]->transmit(frame(0, 1), microseconds(400));
-      // Overlaps node 0's frame: capture/collision logic runs at every
-      // receiver that hears both.
-      sched.at(microseconds(100),
-               [&] { phys[2]->transmit(frame(2, 5), microseconds(400)); });
-      // Hidden-ish late joiner, partially overlapping node 2's frame.
-      sched.at(microseconds(450),
-               [&] { phys[5]->transmit(frame(5, 0), microseconds(300)); });
-      // Clean back-to-back frame once the air is quiet again.
-      sched.at(microseconds(900),
-               [&] { phys[1]->transmit(frame(1, 0), microseconds(200)); });
-      sched.run();
     }
   };
 
-  World soa(/*scalar=*/false);
-  World ref(/*scalar=*/true);
-  soa.run();
-  ref.run();
-
-  for (std::size_t n = 0; n < soa.listeners.size(); ++n) {
-    const RecordingListener& a = *soa.listeners[n];
-    const RecordingListener& b = *ref.listeners[n];
-    SCOPED_TRACE("node " + std::to_string(n));
-    EXPECT_EQ(a.busy_edges, b.busy_edges);
-    EXPECT_EQ(a.idle_edges, b.idle_edges);
-    EXPECT_EQ(a.tx_ends, b.tx_ends);
-    ASSERT_EQ(a.received.size(), b.received.size());
-    for (std::size_t i = 0; i < a.received.size(); ++i) {
-      SCOPED_TRACE("rx " + std::to_string(i));
-      EXPECT_EQ(a.received[i].frame.true_tx, b.received[i].frame.true_tx);
-      EXPECT_EQ(a.received[i].frame.ta, b.received[i].frame.ta);
-      EXPECT_EQ(a.received[i].info.rss_w, b.received[i].info.rss_w);
-      EXPECT_EQ(a.received[i].info.rssi_dbm, b.received[i].info.rssi_dbm);
-      EXPECT_EQ(a.received[i].info.corrupted, b.received[i].info.corrupted);
-      EXPECT_EQ(a.received[i].info.collided, b.received[i].info.collided);
-      EXPECT_EQ(a.received[i].info.start, b.received[i].info.start);
-      EXPECT_EQ(a.received[i].info.end, b.received[i].info.end);
-    }
-  }
-  // The reference walk must not have touched the link-table cache.
-  EXPECT_EQ(ref.channel.link_tables_rebuilt(), 0u);
-  EXPECT_GT(soa.channel.link_tables_rebuilt(), 0u);
+  expect_tables_match("as built");
+  phys_[4]->set_position({60, 0});  // out of range -> interference band
+  expect_tables_match("after a move");
+  channel_.set_ranges(35.0, 80.0);
+  expect_tables_match("after set_ranges");
+  channel_.propagation().set_tx_power_w(channel_.propagation().tx_power_w() *
+                                        3.0);
+  expect_tables_match("after a tx-power change");
 }
 
 TEST_F(PhyChannelTest, BackToBackTransmissionsBothDelivered) {

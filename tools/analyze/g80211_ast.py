@@ -79,7 +79,7 @@ import re
 import sys
 from pathlib import Path
 
-TOOL_VERSION = 3
+TOOL_VERSION = 4
 
 RULES = [
     "callback-capture",
@@ -295,7 +295,7 @@ class Parser:
         self.match = match_brackets(self.toks)
         self.index = {
             "version": TOOL_VERSION, "file": rel,
-            "functions": [], "classes": {}, "globals": [],
+            "functions": [], "classes": {}, "class_defs": [], "globals": [],
             "mailbox_payloads": [], "decl_hot": [], "decl_noexcept": [],
         }
         self.scan_mailboxes()
@@ -410,6 +410,7 @@ class Parser:
                     j += 1
                 if self.t(j) == "{" and name:
                     close = self.match.get(j, end)
+                    self.index["class_defs"].append(name)
                     self.parse_scope(j + 1, close, ns, name)
                     i = close + 1
                     # skip trailing `;` or variable names
@@ -1108,11 +1109,14 @@ class Analyzer:
         self.functions = {}   # qname -> [fn, ...] (overloads merge)
         self.by_name = {}     # unqualified name -> [fn, ...]
         self.file_globals = {}  # rel -> {name: type}
+        self.class_files = {}   # class name -> files defining it
         hot_decls = set()
         noexcept_decls = set()
         for idx in indexes:
             for cname, members in idx["classes"].items():
                 self.classes.setdefault(cname, {}).update(members)
+            for cname in idx["class_defs"]:
+                self.class_files.setdefault(cname, set()).add(idx["file"])
             self.file_globals[idx["file"]] = {
                 g[1]: g[2] for g in idx["globals"]}
             hot_decls.update(idx["decl_hot"])
@@ -1148,6 +1152,13 @@ class Analyzer:
         return [i for i in re.findall(r"[A-Za-z_]\w*", t or "")
                 if i in self.classes]
 
+    def visible_from(self, cls, file):
+        """False for a class defined only in .cc files other than `file`:
+        such a class is local to its translation unit."""
+        files = self.class_files.get(cls)
+        return not files or file in files or \
+            not all(f.endswith((".cc", ".cpp")) for f in files)
+
     def callees(self, fn, call):
         """Resolve a recorded call to candidate function definitions."""
         _, recv, method, _ = call
@@ -1162,11 +1173,13 @@ class Analyzer:
                     if out:
                         return out
                 return []  # std:: containers etc. — not project functions
-            # unresolved receiver: any class defining the method
+            # unresolved receiver: any class defining the method that the
+            # caller's file can see
             out = []
             for qname, fns in self.functions.items():
                 if qname.endswith(f"::{method}"):
-                    out.extend(fns)
+                    out.extend(f for f in fns
+                               if self.visible_from(f["cls"], fn["file"]))
             return out
         # unqualified: own class first, then free functions
         if fn["cls"]:
